@@ -11,7 +11,7 @@ right-unitary rotation and nonzero complex scaling of the symbol estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri

@@ -13,7 +13,7 @@ import csv
 import io
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 

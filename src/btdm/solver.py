@@ -5,11 +5,18 @@ the Gauss-Newton normal equations over the interleaved real/imag coordinates
 reduce exactly to their complex counterparts, which is what is implemented
 (same steps, half the memory).  The real-coordinate gradient is exposed for
 finite-difference checks.
+
+The Jacobian is never formed. Its products are mode contractions and
+first-order syntheses of the factors (:class:`_Linearisation`), and the
+Gauss-Newton matrix J^H J is assembled from the factors' small Gram matrices
+(:func:`_gramian`), so memory stays O(P^2) for P parameters. A rejected
+trial step reuses the gradient, Gauss-Newton step and Cauchy step of its
+point (:class:`_Dogleg`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,36 +113,59 @@ def _model_vec(factors, dims) -> np.ndarray:
     return m
 
 
-def _jacobian(factors, dims, L) -> np.ndarray:
-    """d vec(model) / d x as a dense complex matrix.
-
-    Row m = i + T1*j + T1*T2*n of vec(model) is entry (i, j, n), so the
-    C-ordered rows reshape to (N, T2, T1). Each column has at most N*T2,
-    N*T1 or T1*T2 nonzeros: the A-columns of term k hold h[n] B[j, l] where
-    i is their own row index i', the B-columns h[n] A[i, l] where j = j', and
-    the h-columns (A B^T)[i, j] where n = n'.
-    """
+def _stacked(x: np.ndarray, dims, K: int, L: int):
+    """Views of packed x as stacked factors: A (K, T1, L), B (K, T2, L), h (K, N)."""
     T1, T2, N = dims
-    M = T1 * T2 * N
-    na, nb, nh = _factor_sizes(dims, L)
-    per = na + nb + nh
-    J = np.zeros((M, per * len(factors)), dtype=np.complex128)
-    J4 = J.reshape(N, T2, T1, -1)
-    i1, i2, iN = np.arange(T1), np.arange(T2), np.arange(N)
-    ell = np.arange(L)[:, None]
-    for k, (A, B, h) in enumerate(factors):
-        s = k * per
-        # Advanced indices on axes 2 and 3 stay in place: (N, T2, L, T1).
-        J4[:, :, i1, s + ell * T1 + i1] = (h[:, None, None] * B)[..., None]
-        # On axes 1 and 3 they move to the front: (L, T2, N, T1).
-        J4[:, i2, :, s + na + ell * T2 + i2] = \
-            (h[:, None, None] * A).transpose(2, 0, 1)[:, None]
-        J4[iN, :, :, s + na + nb + iN] = (A @ B.T).T
-    return J
+    na, nb, _ = _factor_sizes(dims, L)
+    X = x.reshape(K, -1)
+    A = X[:, :na].reshape(K, L, T1).transpose(0, 2, 1)
+    B = X[:, na:na + nb].reshape(K, L, T2).transpose(0, 2, 1)
+    return A, B, X[:, na + nb:]
 
 
-def _gramian(factors, dims, L) -> np.ndarray:
-    """J^H J of :func:`_jacobian`, assembled from the factors' small Grams.
+class _Linearisation:
+    """The Jacobian J = d vec(model) / d x at one point, applied without forming it.
+
+    Row m = i + T1*j + T1*T2*n of vec(model) is entry (i, j, n), so a vector
+    over the rows reshapes to (N, T2, T1) in C order. With W_k = A_k B_k^T:
+        J d     = sum_k (dA_k B_k^T + A_k dB_k^T) o h_k + W_k o dh_k,
+        J^H r   = per term, R contracted with conj(B_k) and conj(h_k) (A-block),
+                  with conj(A_k) and conj(h_k) (B-block), and with conj(W_k) (h).
+    Both cost O(T1*T2*N*K*L) and O(T1*T2*N + P) memory, against O(M*P) for
+    the dense matrix (383 MB at (30, 24, 25), K=10).
+    """
+
+    def __init__(self, x, dims, K, L):
+        self.dims, self.K, self.L = dims, K, L
+        self.A, self.B, self.h = _stacked(x, dims, K, L)
+        self.Wt = (self.B @ self.A.transpose(0, 2, 1)).reshape(K, -1)   # W_k^T, flat
+
+    def matvec(self, d: np.ndarray) -> np.ndarray:
+        """J d, the first-order change of vec(model) along d."""
+        dA, dB, dh = _stacked(d, self.dims, self.K, self.L)
+        Vt = self.B @ dA.transpose(0, 2, 1) + dB @ self.A.transpose(0, 2, 1)
+        return (self.h.T @ Vt.reshape(self.K, -1) + dh.T @ self.Wt).ravel()
+
+    def rmatvec(self, r: np.ndarray) -> np.ndarray:
+        """J^H r in the packed layout; -2 J^H r is the gradient of ||r||^2."""
+        T1, T2, N = self.dims
+        R = r.reshape(N, T2 * T1)
+        Rh = (self.h.conj() @ R).reshape(self.K, T2, T1)            # R x_3 conj(h_k)
+        gA = self.B.conj().transpose(0, 2, 1) @ Rh                   # (K, L, T1)
+        gB = self.A.conj().transpose(0, 2, 1) @ Rh.transpose(0, 2, 1)  # (K, L, T2)
+        gh = self.Wt.conj() @ R.T                                    # (K, N)
+        return np.concatenate([gA.reshape(self.K, -1), gB.reshape(self.K, -1), gh],
+                              axis=1).ravel()
+
+
+def _gramian(lin: _Linearisation, out: np.ndarray) -> np.ndarray:
+    """J^H J at the point of ``lin``, assembled from the factors' small Grams.
+
+    Every entry of ``out`` (P x P complex) is written, and ``out`` is returned.
+    A descent passes one buffer for all its points: a fresh P x P array per
+    point is the largest allocation of an iteration, and glibc would hand its
+    pages back and fault them in again each time (a sixth of a desk fit's
+    wall time).
 
     With W_k = A_k B_k^T, the blocks between terms k and q are
         A-A: (h_k^H h_q) (B_k^H B_q) kron I_T1
@@ -145,25 +175,22 @@ def _gramian(factors, dims, L) -> np.ndarray:
         A-h: conj(h_k[n']) (W_q conj(B_k))[i', l]
         B-h: conj(h_k[n']) (W_q^T conj(A_k))[j', l]
     and the rest are their Hermitian transposes. It equals the dense product
-    to rounding without its T1*T2*N-long inner sums; at the desk point
-    (K=8) it is several times faster than the dense product.
+    to rounding without its T1*T2*N-long inner sums.
     """
-    T1, T2, N = dims
-    K = len(factors)
-    na, nb, nh = _factor_sizes(dims, L)
+    T1, T2, N = lin.dims
+    K = lin.K
+    na, nb, nh = _factor_sizes(lin.dims, lin.L)
     per = na + nb + nh
-    As = np.stack([A for A, _, _ in factors])        # (K, T1, L)
-    Bs = np.stack([B for _, B, _ in factors])        # (K, T2, L)
-    Hs = np.stack([h for _, _, h in factors])        # (K, N)
-    Ws = As @ Bs.transpose(0, 2, 1)                  # (K, T1, T2)
+    As, Bs, Hs = lin.A, lin.B, lin.h                 # (K, T1, L), (K, T2, L), (K, N)
+    Ws = lin.Wt.reshape(K, T2, T1).transpose(0, 2, 1)  # (K, T1, T2)
     Ac, Bc, Hc = As.conj(), Bs.conj(), Hs.conj()
     hh = Hc @ Hs.T                                   # (k, q)
     BhB = np.tensordot(Bc, Bs, axes=(1, 1)) * hh[:, None, :, None]   # (k, l, q, m)
     AhA = np.tensordot(Ac, As, axes=(1, 1)) * hh[:, None, :, None]
-    WhW = Ws.conj().reshape(K, -1) @ Ws.reshape(K, -1).T
+    WhW = lin.Wt.conj() @ lin.Wt.T
     WBc = (Ws[None] @ Bc[:, None]).transpose(0, 3, 2, 1)                # (k, l, i, q)
     WAc = (Ws.transpose(0, 2, 1)[None] @ Ac[:, None]).transpose(0, 3, 2, 1)  # (k, l, j, q)
-    G = np.zeros((K, per, K, per), dtype=np.complex128)
+    G = out.reshape(K, per, K, per)
     a, b, c = slice(0, na), slice(na, na + nb), slice(na + nb, per)
     # Index order (k, l, i, q, m, i') etc. flattens to the column order of the
     # packed parameters: vec(A) is i + T1*l, vec(B) is j + T2*l.
@@ -180,7 +207,7 @@ def _gramian(factors, dims, L) -> np.ndarray:
     G[:, b, :, a] = G[:, a, :, b].conj().transpose(2, 3, 0, 1)
     G[:, c, :, a] = G[:, a, :, c].conj().transpose(2, 3, 0, 1)
     G[:, c, :, b] = G[:, b, :, c].conj().transpose(2, 3, 0, 1)
-    return G.reshape(K * per, K * per)
+    return out
 
 
 def objective(Y: np.ndarray, x: np.ndarray, K: int, L: int) -> float:
@@ -192,62 +219,80 @@ def objective(Y: np.ndarray, x: np.ndarray, K: int, L: int) -> float:
 
 def gradient_real(Y: np.ndarray, x: np.ndarray, K: int, L: int) -> np.ndarray:
     """Gradient of :func:`objective` w.r.t. interleaved real/imag coordinates."""
-    factors = unpack_factors(x, Y.shape, K, L)
-    r = Y.ravel(order="F") - _model_vec(factors, Y.shape)
-    J = _jacobian(factors, Y.shape, L)
-    return -2.0 * complex_to_real(J.conj().T @ r)
+    r = Y.ravel(order="F") - _model_vec(unpack_factors(x, Y.shape, K, L), Y.shape)
+    return -2.0 * complex_to_real(_Linearisation(x, Y.shape, K, L).rmatvec(r))
 
 
 # ---------------------------------------------------------------------------
 # Dogleg trust-region core.
 # ---------------------------------------------------------------------------
 
-def _dogleg_step(J, G, r, radius):
-    """Minimize ||r - J d|| within ||d|| <= radius (Cauchy/GN dogleg).
+class _Dogleg:
+    """Cauchy/Gauss-Newton dogleg for min ||r - J d|| within ||d|| <= radius.
 
-    G is J^H J; it is overwritten with its Tikhonov-regularised form.
+    The gradient g = J^H r, the Gauss-Newton step and the Cauchy step depend
+    only on the point, not on the radius. The descent keeps one instance per
+    accepted point, so a rejected trial, which only shrinks the radius, is
+    answered from these pieces instead of recomputing them.
     """
-    g = (r.conj() @ J).conj()
-    lam = TIKHONOV * max(1.0, float(np.max(G.diagonal().real)))
-    G[np.diag_indices_from(G)] += lam
-    try:
-        d_gn = np.linalg.solve(G, g)
-    except np.linalg.LinAlgError:
-        d_gn = np.linalg.lstsq(G, g, rcond=None)[0]
-    if np.linalg.norm(d_gn) <= radius:
-        return d_gn, g
-    Jg = J @ g
-    t = float(np.vdot(g, g).real / max(np.vdot(Jg, Jg).real, 1e-300))
-    d_sd = t * g
-    n_sd = np.linalg.norm(d_sd)
-    if n_sd >= radius:
-        return (radius / np.linalg.norm(g)) * g, g
-    diff = d_gn - d_sd
-    a = float(np.vdot(diff, diff).real)
-    b = 2.0 * float(np.vdot(d_sd, diff).real)
-    c = n_sd * n_sd - radius * radius
-    s = (-b + np.sqrt(b * b - 4 * a * c)) / (2 * a)
-    return d_sd + s * diff, g
+
+    def __init__(self, lin: _Linearisation, r: np.ndarray):
+        self.lin = lin
+        self.g = lin.rmatvec(r)
+        self._sd = None
+
+    def solve(self, G: np.ndarray) -> None:
+        """Gauss-Newton step from G = J^H J, overwritten with its Tikhonov-regularised form."""
+        lam = TIKHONOV * max(1.0, float(np.max(G.diagonal().real)))
+        G[np.diag_indices_from(G)] += lam
+        try:
+            self.d_gn = np.linalg.solve(G, self.g)
+        except np.linalg.LinAlgError:
+            self.d_gn = np.linalg.lstsq(G, self.g, rcond=None)[0]
+        self.n_gn = np.linalg.norm(self.d_gn)
+
+    def __call__(self, radius: float) -> np.ndarray:
+        g, d_gn = self.g, self.d_gn
+        if self.n_gn <= radius:
+            return d_gn
+        if self._sd is None:
+            Jg = self.lin.matvec(g)
+            t = float(np.vdot(g, g).real / max(np.vdot(Jg, Jg).real, 1e-300))
+            d_sd = t * g
+            self._sd = d_sd, np.linalg.norm(d_sd)
+        d_sd, n_sd = self._sd
+        if n_sd >= radius:
+            return (radius / np.linalg.norm(g)) * g
+        diff = d_gn - d_sd
+        a = float(np.vdot(diff, diff).real)
+        b = 2.0 * float(np.vdot(d_sd, diff).real)
+        c = n_sd * n_sd - radius * radius
+        s = (-b + np.sqrt(b * b - 4 * a * c)) / (2 * a)
+        return d_sd + s * diff
 
 
 def _run_gndl(y_vec, dims, K, L, x0, config):
     """One GN-dogleg descent from x0; returns (x, residual, iters, converged, history)."""
     x = x0.copy()
-    factors = unpack_factors(x, dims, K, L)
-    r = y_vec - _model_vec(factors, dims)
+    r = y_vec - _model_vec(unpack_factors(x, dims, K, L), dims)
     res = float(np.linalg.norm(r))
     history = [res]
     radius = config.trust_radius_init * max(1.0, float(np.linalg.norm(x)))
     converged = False
+    step = None
+    G = np.empty((x.size, x.size), dtype=np.complex128)
     it = 0
     for it in range(1, config.max_iterations + 1):
-        J = _jacobian(factors, dims, L)
-        d, g = _dogleg_step(J, _gramian(factors, dims, L), r, radius)
-        if 2.0 * np.linalg.norm(g) < config.grad_tol:
-            converged = True
-            it -= 1
-            break
-        pred = res * res - float(np.linalg.norm(r - J @ d) ** 2)
+        if step is None:
+            lin = _Linearisation(x, dims, K, L)
+            step = _Dogleg(lin, r)
+            if 2.0 * np.linalg.norm(step.g) < config.grad_tol:
+                converged = True
+                it -= 1
+                break
+            step.solve(_gramian(lin, G))
+        d = step(radius)
+        pred = res * res - float(np.linalg.norm(r - lin.matvec(d)) ** 2)
         x_new = x + d
         r_new = y_vec - _model_vec(unpack_factors(x_new, dims, K, L), dims)
         res_new = float(np.linalg.norm(r_new))
@@ -263,8 +308,8 @@ def _run_gndl(y_vec, dims, K, L, x0, config):
         if rho >= config.step_accept_ratio and actual > 0:
             rel_change = abs(res - res_new) / max(res, 1e-300)
             x, r, res = x_new, r_new, res_new
-            factors = unpack_factors(x, dims, K, L)
             history.append(res)
+            step = None
             if rel_change < config.rel_residual_tol:
                 converged = True
                 break
@@ -309,10 +354,6 @@ def orthonormalize_term(term: BlockTerm) -> BlockTerm:
         raise CanonicalizationFailure("rank-deficient block term")
     scale = np.sqrt(S * hn)
     return BlockTerm(A=(Qa @ U) * scale, B=(Qb @ Vh.T) * scale, h=term.h / hn)
-
-
-def orthonormalize_terms(model: BTDModel) -> BTDModel:
-    return BTDModel(terms=tuple(orthonormalize_term(t) for t in model.terms))
 
 
 def orthonormal_factors(term: BlockTerm) -> tuple[np.ndarray, np.ndarray]:

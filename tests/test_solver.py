@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -97,25 +99,76 @@ def _fd_jacobian(factors, dims, L, eps=1e-6):
     return np.stack(cols, axis=1)
 
 
+def _dense_jacobian(factors, dims, L):
+    """d vec(model) / d x as a dense complex matrix: the oracle for the
+    solver's matrix-free products and for its Gramian.
+
+    Row m = i + T1*j + T1*T2*n of vec(model) is entry (i, j, n), so the
+    C-ordered rows reshape to (N, T2, T1). The A-columns of term k hold
+    h[n] B[j, l] where i is their own row index i', the B-columns h[n] A[i, l]
+    where j = j', and the h-columns (A B^T)[i, j] where n = n'.
+    """
+    T1, T2, N = dims
+    na, nb, nh = T1 * L, T2 * L, N
+    per = na + nb + nh
+    J = np.zeros((T1 * T2 * N, per * len(factors)), dtype=np.complex128)
+    J4 = J.reshape(N, T2, T1, -1)
+    i1, i2, iN = np.arange(T1), np.arange(T2), np.arange(N)
+    ell = np.arange(L)[:, None]
+    for k, (A, B, h) in enumerate(factors):
+        s = k * per
+        # Advanced indices on axes 2 and 3 stay in place: (N, T2, L, T1).
+        J4[:, :, i1, s + ell * T1 + i1] = (h[:, None, None] * B)[..., None]
+        # On axes 1 and 3 they move to the front: (L, T2, N, T1).
+        J4[:, i2, :, s + na + ell * T2 + i2] = \
+            (h[:, None, None] * A).transpose(2, 0, 1)[:, None]
+        J4[iN, :, :, s + na + nb + iN] = (A @ B.T).T
+    return J
+
+
+def _rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
 # Distinct T1, T2, N so that a mixed-up axis cannot go unnoticed.
 SHAPES = [((4, 3, 2), 1, 2), ((3, 5, 4), 2, 1), ((5, 4, 3), 3, 2), ((4, 5, 6), 2, 3)]
 
 
 class TestJacobian:
+    @staticmethod
+    def _point(rng, dims, K, L):
+        factors = [(t.A, t.B, t.h) for t in random_model(rng, dims, K, L).terms]
+        x = solver.pack_factors(factors, dims, L)
+        return factors, x, solver._Linearisation(x, dims, K, L)
+
     @pytest.mark.parametrize("dims,K,L", SHAPES)
     def test_matches_finite_differences(self, rng, dims, K, L):
-        factors = [(t.A, t.B, t.h) for t in random_model(rng, dims, K, L).terms]
-        J = solver._jacobian(factors, dims, L)
+        factors, _, _ = self._point(rng, dims, K, L)
+        J = _dense_jacobian(factors, dims, L)
         np.testing.assert_allclose(J, _fd_jacobian(factors, dims, L), atol=1e-8)
 
     @pytest.mark.parametrize("dims,K,L", SHAPES)
     def test_gramian_equals_dense_product(self, rng, dims, K, L):
-        factors = [(t.A, t.B, t.h) for t in random_model(rng, dims, K, L).terms]
-        J = solver._jacobian(factors, dims, L)
+        factors, x, lin = self._point(rng, dims, K, L)
+        J = _dense_jacobian(factors, dims, L)
         dense = J.conj().T @ J
-        G = solver._gramian(factors, dims, L)
+        G = solver._gramian(lin, np.full((x.size, x.size), np.nan, dtype=complex))
         np.testing.assert_allclose(G, dense, rtol=0,
                                    atol=1e-13 * np.max(np.abs(dense)))
+
+    @pytest.mark.parametrize("dims,K,L", SHAPES)
+    def test_gradient_equals_dense_product(self, rng, dims, K, L):
+        factors, _, lin = self._point(rng, dims, K, L)
+        r = crandn(rng, int(np.prod(dims)))
+        want = _dense_jacobian(factors, dims, L).conj().T @ r
+        assert _rel_err(lin.rmatvec(r), want) <= 1e-12
+
+    @pytest.mark.parametrize("dims,K,L", SHAPES)
+    def test_directional_derivative_equals_dense_product(self, rng, dims, K, L):
+        factors, x, lin = self._point(rng, dims, K, L)
+        d = crandn(rng, x.size)
+        want = _dense_jacobian(factors, dims, L) @ d
+        assert _rel_err(lin.matvec(d), want) <= 1e-12
 
 
 class TestFit:
@@ -184,6 +237,40 @@ class TestFit:
             solver.gndl_fit(crandn(rng, 4, 3, 2), 0, 2, cfg)
         with pytest.raises(ValueError):
             solver.SolverConfig(restarts=0)
+
+
+class TestStepReuse:
+    def test_one_gramian_per_accepted_point(self, monkeypatch):
+        # This seeded descent rejects three of its eight trial steps, the last
+        # one included, so every point it reaches gets a Gauss-Newton step.
+        rng = np.random.default_rng(3)
+        model = random_model(rng, dims=(6, 5, 4), K=2)
+        Y = tc.synthesize_received(model) + 0.05 * crandn(rng, 6, 5, 4)
+        calls = []
+        gramian = solver._gramian
+        monkeypatch.setattr(solver, "_gramian",
+                            lambda *args: calls.append(1) or gramian(*args))
+        res = solver.gndl_fit(Y, 2, 2, solver.SolverConfig(seed=2, restarts=1,
+                                                           max_iterations=8))
+        accepted = len(res.residual_history) - 1
+        assert res.iterations == 8 and res.iterations - accepted == 3
+        assert len(calls) == len(res.residual_history)
+
+
+class TestMemory:
+    def test_full_scale_fit_never_holds_the_dense_jacobian(self, rng):
+        # The dense Jacobian at (30, 24, 25), K=10, L=2 alone is 18000 x 1330
+        # complex (383 MB); the Gauss-Newton matrix is 28 MB.
+        dims, K, L = (30, 24, 25), 10, 2
+        Y = tc.synthesize_received(solver.init_random(dims, K, L, seed=1))
+        cfg = solver.SolverConfig(seed=0, restarts=1, max_iterations=2)
+        tracemalloc.start()
+        try:
+            solver.gndl_fit(Y, K, L, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20, f"peak {peak / 2**20:.0f} MiB"
 
 
 class TestCanonicalization:
