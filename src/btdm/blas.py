@@ -67,10 +67,11 @@ def pin_to_one_thread():
     Workers already occupy the cores, so BLAS threads inside them only
     oversubscribe and busy-wait. Setting OPENBLAS_NUM_THREADS in the parent
     cannot do this: a forked worker inherits the thread count OpenBLAS read
-    when the parent loaded it. Never raises, since a failing initializer
-    breaks the whole pool.
+    when the parent loaded it. A worker forked inside single_threaded()
+    already runs one thread and makes no call. Never raises, since a failing
+    initializer breaks the whole pool.
     """
-    if OPENBLAS is not None:
+    if OPENBLAS is not None and OPENBLAS[1]() != 1:
         OPENBLAS[0](1)
 
 
@@ -78,8 +79,12 @@ def pin_to_one_thread():
 def single_threaded():
     """Run BLAS on one thread inside the block, then restore the old count.
 
-    Nested and concurrent blocks (trials in a thread pool) share one pin: the
-    first to enter saves the count, the last to leave restores it.
+    Nested and concurrent blocks share one pin: the first to enter saves the
+    count, the last to leave restores it. The count is set only when it
+    changes: OpenBLAS stops its threads when the process forks, and the next
+    set call in either process starts new ones, which busy-wait for about
+    0.1 s of CPU before they sleep. A process forked inside the block thus
+    inherits one thread and starts none.
     """
     global _depth, _saved_threads
     if OPENBLAS is None:
@@ -89,12 +94,13 @@ def single_threaded():
     with _lock:
         if _depth == 0:
             _saved_threads = get_threads()
-            set_threads(1)
+            if _saved_threads != 1:
+                set_threads(1)
         _depth += 1
     try:
         yield
     finally:
         with _lock:
             _depth -= 1
-            if _depth == 0:
+            if _depth == 0 and _saved_threads != 1:
                 set_threads(_saved_threads)

@@ -22,7 +22,6 @@ class ChannelConfig:
     n_users: int
     ebn0_db: float
     symbol_energy: float  # per-user transmit energy target E_s
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_antennas < 1 or self.n_users < 1:

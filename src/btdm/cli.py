@@ -29,22 +29,6 @@ def _load_config(args) -> harness.ExperimentConfig:
     return harness.config_from_mapping(values)
 
 
-def _hex_to_bits(hex_str: str, n_bits: int) -> np.ndarray:
-    value = int(hex_str, 16)
-    if value >> n_bits:
-        raise ValueError(f"{hex_str} does not fit in {n_bits} bits")
-    return np.array([(value >> (n_bits - 1 - i)) & 1 for i in range(n_bits)],
-                    dtype=np.uint8)
-
-
-def _bits_to_hex(bits) -> str:
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    width = (len(bits) + 3) // 4
-    return f"{value:0{width}x}"
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     rows = harness.run_monte_carlo(cfg)
@@ -65,7 +49,7 @@ def cmd_check_params(args) -> int:
 def cmd_encode(args) -> int:
     ell = args.ell if args.ell is not None else 4 * len(args.bits)
     params = codec.CodecParams.create(args.t, args.l, ell, f=args.f)
-    bits = _hex_to_bits(args.bits, ell)
+    bits = codec.int_to_bits(int(args.bits, 16), ell)
     symbol = codec.build_symbol(bits, params)
     for row in symbol.matrix:
         print(",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row))
@@ -91,7 +75,7 @@ def cmd_decode(args) -> int:
     except codec.DemapFailure as exc:
         print(f"demap failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    print(_bits_to_hex(bits))
+    print(f"{codec.bits_to_int(bits):0{(len(bits) + 3) // 4}x}")
     print(f"confidence: {confidence:.6g}", file=sys.stderr)
     return EXIT_OK
 

@@ -8,10 +8,8 @@ byte-reproducible and independent of scheduling order.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import io
-import os
 import time
 from dataclasses import dataclass, fields
 
@@ -57,7 +55,7 @@ class ExperimentConfig:
     restarts: int = 5
     rel_residual_tol: float = 1e-8
     grad_tol: float = 1e-8
-    workers: int = 0               # 0 -> os.cpu_count()
+    workers: int = 1               # processes for a trial's user groups
     strict: bool = False           # fail the run on solver failures
 
     @property
@@ -123,6 +121,8 @@ def _parse_value(key, raw, ftype):
 
 def build_components(cfg: ExperimentConfig):
     """Validate the config and construct codec params and the outer code."""
+    if cfg.workers < 1:
+        raise ConfigError(f"workers = {cfg.workers} must be >= 1")
     if cfg.b1 + cfg.b2 != cfg.b_bch:
         raise ConfigError(f"b1 + b2 = {cfg.b1 + cfg.b2} must equal b_bch = {cfg.b_bch}")
     try:
@@ -193,8 +193,7 @@ def run_trial(cfg: ExperimentConfig, params1, params2, outer, kbar: int,
         open_groups[int(payload_rng.integers(len(open_groups)))].append(int(u))
 
     start = time.perf_counter()
-    decoded: set[str] = set()
-    iters = []
+    Y_list, rx_cfgs = [], []
     for members in groups:
         if not members:
             continue
@@ -203,35 +202,31 @@ def run_trial(cfg: ExperimentConfig, params1, params2, outer, kbar: int,
             symbol_energy=cfg.energy)
         Y, _ = channel.transmit([coded[u] for u in members], params1, params2,
                                 ch_cfg, cfg.b0, channel_rng, noise_rng)
-        rx_cfg = receiver.ReceiverConfig(
+        Y_list.append(Y)
+        rx_cfgs.append(receiver.ReceiverConfig(
             assumed_terms=_assumed(cfg, kbar, len(members)),
             power_threshold=cfg.power_threshold,
-            sc_iterations=cfg.sc_iterations)
-        messages, sc_diag = receiver.successive_cancellation(
-            Y, params1, params2, outer, rx_cfg, solver_cfg)
-        decoded |= messages
-        iters.extend(d.solver_iterations for d in sc_diag.pass_diags)
-        if cfg.strict and any(d.solver_failed for d in sc_diag.pass_diags):
-            raise RuntimeError("solver failure in strict mode")
+            sc_iterations=cfg.sc_iterations))
+    decoded, sc_diags = receiver.demodulate_groups(
+        Y_list, params1, params2, outer, rx_cfgs, solver_cfg, max_workers=cfg.workers)
+    pass_diags = [d for sc_diag in sc_diags for d in sc_diag.pass_diags]
+    if cfg.strict and any(d.solver_failed for d in pass_diags):
+        raise RuntimeError("solver failure in strict mode")
+    iters = [d.solver_iterations for d in pass_diags]
     runtime_ms = (time.perf_counter() - start) * 1e3
     return receiver.pupe(sent, decoded), float(np.mean(iters)) if iters else 0.0, runtime_ms
 
 
 def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRow]:
+    """Sweep the (Eb/N0, K) grid, running each cell's trials in order."""
     params1, params2, outer, kbar = build_components(cfg)
     rows = []
-    workers = cfg.workers or (os.cpu_count() or 1)
     cells = [(e, k) for e in cfg.ebn0_list for k in cfg.k_list]
     for cell, (ebn0_db, K) in enumerate(cells):
         if cfg.trials == 0:
             continue
-        args = [(cfg, params1, params2, outer, kbar, ebn0_db, K, cell, t)
-                for t in range(cfg.trials)]
-        if workers > 1 and cfg.trials > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(lambda a: run_trial(*a), args))
-        else:
-            outcomes = [run_trial(*a) for a in args]
+        outcomes = [run_trial(cfg, params1, params2, outer, kbar, ebn0_db, K, cell, t)
+                    for t in range(cfg.trials)]
         pupes = np.array([o[0] for o in outcomes])
         ci = 1.96 * pupes.std(ddof=1) / np.sqrt(len(pupes)) if len(pupes) > 1 else 0.0
         rows.append(ResultRow(
@@ -262,13 +257,7 @@ def check_params(cfg: ExperimentConfig) -> str:
     """Human-readable feasibility report for a configuration."""
     params1, params2, outer, kbar = build_components(cfg)
     t1, t2, l, n = cfg.t1, cfg.t2, cfg.l, cfg.n_antennas
-    kbar1 = kbar2 = 0
-    for K in range(1, max(n, t1 * t2 // (l * l)) + 2):
-        if n >= K and min(t1 // l, K) + min(t2 // l, K) >= K + 2:
-            kbar1 = K
-        if (t1 * t2) // (l * l) >= K and \
-                min(t1 // l, K) + min(t2 // l, K) + min(n, K) >= 2 * K + 2:
-            kbar2 = K
+    kbar1, kbar2 = receiver.uniqueness_conditions(t1, t2, l, n)
     tc = t1 * t2
     lines = [
         f"dims: T1={t1} T2={t2} L={l} N={n}  (Tc={tc} channel uses)",

@@ -28,15 +28,14 @@ class ReceiverConfig:
     assumed_terms: int
     power_threshold: float = 0.05
     sc_iterations: int = 0
-    groups: int = 1
 
     def __post_init__(self):
         if self.assumed_terms < 1:
             raise ValueError("assumed_terms must be >= 1")
         if not (0 <= self.power_threshold < 1):
             raise ValueError("power_threshold must be in [0, 1)")
-        if self.sc_iterations < 0 or self.groups < 1:
-            raise ValueError("sc_iterations >= 0 and groups >= 1 required")
+        if self.sc_iterations < 0:
+            raise ValueError("sc_iterations must be >= 0")
 
 
 @dataclass
@@ -65,25 +64,30 @@ def message_to_bits(message: str) -> np.ndarray:
     return np.frombuffer(message.encode(), dtype=np.uint8) - ord("0")
 
 
-def uniqueness_bound(T1: int, T2: int, L: int, N: int) -> int:
-    """Largest K for which the decomposition is essentially unique.
+def uniqueness_conditions(T1: int, T2: int, L: int, N: int) -> tuple[int, int]:
+    """Largest K satisfying each uniqueness condition, 0 where none does.
 
     Condition 1: N >= K and min(T1//L, K) + min(T2//L, K) >= K + 2.
     Condition 2: T1*T2 // L^2 >= K and
                  min(T1//L, K) + min(T2//L, K) + min(N, K) >= 2K + 2.
-    Returns 0 when no K >= 1 satisfies either condition.
     """
     if L < 1 or min(T1, T2, N) < 1:
         raise ValueError("dims must be positive")
     r1, r2 = T1 // L, T2 // L
-    best = 0
+    k1 = k2 = 0
     for K in range(1, max(N, T1 * T2 // (L * L)) + 2):
-        c1 = N >= K and min(r1, K) + min(r2, K) >= K + 2
-        c2 = (T1 * T2) // (L * L) >= K and \
-            min(r1, K) + min(r2, K) + min(N, K) >= 2 * K + 2
-        if c1 or c2:
-            best = K
-    return best
+        if N >= K and min(r1, K) + min(r2, K) >= K + 2:
+            k1 = K
+        if (T1 * T2) // (L * L) >= K and \
+                min(r1, K) + min(r2, K) + min(N, K) >= 2 * K + 2:
+            k2 = K
+    return k1, k2
+
+
+def uniqueness_bound(T1: int, T2: int, L: int, N: int) -> int:
+    """Largest K for which the decomposition is essentially unique: the
+    larger of the two uniqueness_conditions, 0 when neither holds for K >= 1."""
+    return max(uniqueness_conditions(T1, T2, L, N))
 
 
 def dof_total(K: int, T1: int, T2: int, L: int) -> int:
@@ -192,7 +196,6 @@ def successive_cancellation(Y: np.ndarray, params1, params2,
             assumed_terms=remaining,
             power_threshold=rx_cfg.power_threshold,
             sc_iterations=0,
-            groups=rx_cfg.groups,
         )
         messages, diag = demodulate(residual_Y, params1, params2, outer,
                                     pass_cfg, solver_cfg)
@@ -208,35 +211,30 @@ def successive_cancellation(Y: np.ndarray, params1, params2,
     return found, sc_diag
 
 
-def _group_worker(args):
-    Y, params1, params2, outer, rx_cfg, solver_cfg = args
-    try:
-        messages, _ = successive_cancellation(Y, params1, params2, outer,
-                                              rx_cfg, solver_cfg)
-        return messages, None
-    except Exception as exc:  # group failures must not take down other groups
-        return set(), repr(exc)
+def _group_worker(job):
+    return successive_cancellation(*job)
 
 
-def demodulate_groups(Y_list, params1, params2, outer, rx_cfg: ReceiverConfig,
-                      solver_cfg: SolverConfig, executor: str = "process",
-                      max_workers: int | None = None
-                      ) -> tuple[set[str], list]:
-    """Union of per-group demodulation; groups are processed independently."""
-    jobs = [(Y, params1, params2, outer, rx_cfg, solver_cfg) for Y in Y_list]
-    if executor == "serial" or len(jobs) <= 1:
+def demodulate_groups(Y_list, params1, params2, outer, rx_cfgs,
+                      solver_cfg: SolverConfig, max_workers: int = 1
+                      ) -> tuple[set[str], list[ScDiagnostics]]:
+    """Union of per-group demodulation, and each group's ScDiagnostics.
+
+    Group g is decoded with rx_cfgs[g]. Groups run in this process when
+    max_workers <= 1 or there is one group, otherwise in a process pool whose
+    workers run BLAS single-threaded. An exception in any group propagates.
+    """
+    jobs = [(Y, params1, params2, outer, rx_cfg, solver_cfg)
+            for Y, rx_cfg in zip(Y_list, rx_cfgs, strict=True)]
+    if max_workers <= 1 or len(jobs) <= 1:
         results = [_group_worker(j) for j in jobs]
-    elif executor == "thread":
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(_group_worker, jobs))
-    elif executor == "process":
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=max_workers,
+    else:
+        # Workers forked from the pinned parent inherit one BLAS thread.
+        with blas.single_threaded(), concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(max_workers, len(jobs)),
                 initializer=blas.pin_to_one_thread) as pool:
             results = list(pool.map(_group_worker, jobs))
-    else:
-        raise ValueError(f"unknown executor {executor!r}")
     union: set[str] = set()
-    for messages, _err in results:
+    for messages, _ in results:
         union |= messages
-    return union, results
+    return union, [sc_diag for _, sc_diag in results]

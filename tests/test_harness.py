@@ -82,6 +82,10 @@ class TestBuildComponents:
         with pytest.raises(harness.ConfigError):
             harness.build_components(desk_config(groups=2, k_list=(20,)))
 
+    def test_workers_must_be_positive(self):
+        with pytest.raises(harness.ConfigError):
+            harness.build_components(desk_config(workers=0))
+
     def test_no_outer_code(self):
         cfg = desk_config(use_outer_code=False)
         _, _, outer, _ = harness.build_components(cfg)
@@ -138,6 +142,16 @@ class TestRunMonteCarlo:
         csv2 = harness.rows_to_csv(harness.run_monte_carlo(cfg))
         assert mask_runtime(csv1) == mask_runtime(csv2)
 
+    def test_grouped_csv_independent_of_workers(self):
+        # K=8 exceeds one group's share (K_bar=7), so both groups are
+        # nonempty and workers=2 decodes them in the process pool.
+        grouped = dict(groups=2, k_list=(8,), ebn0_list=(12.0,), trials=3,
+                       max_iterations=100, restarts=2)
+        csv1, csv2 = (harness.rows_to_csv(harness.run_monte_carlo(
+            desk_config(**grouped, workers=w))) for w in (1, 2))
+        assert mask_runtime(csv1) == mask_runtime(csv2)
+        assert csv1.split("\n")[1].startswith("12,8,2,")
+
     def test_seed_changes_results(self):
         cfg0 = desk_config(trials=2)
         cfg1 = desk_config(trials=2, seed=1)
@@ -177,10 +191,12 @@ class TestCheckParams:
         assert "ell1=8" in report
         assert "(255,239) shortened to (220,204)" in report
         assert "204/720 = 0.2833" in report
+        assert "(condition 1: 25, condition 2: 25)" in report
 
     def test_desk_point(self):
         report = harness.check_params(desk_config())
         assert "K_bar=7" in report
+        assert "(condition 1: 7, condition 2: 7)" in report
         assert "(511,466) shortened to (65,20)" in report
 
     def test_part_summary(self):

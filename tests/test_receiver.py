@@ -1,5 +1,6 @@
 import concurrent.futures
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -210,29 +211,33 @@ class TestGroups:
         Y2, s2 = make_scene(42, K=2)
         return [Y1, Y2], s1 | s2
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_union_over_groups(self, executor):
+    @pytest.mark.parametrize("max_workers", [1, 2], ids=["serial", "process"])
+    def test_union_over_groups(self, max_workers):
         ys, sent = self.payload_sets()
-        rx = receiver.ReceiverConfig(assumed_terms=2, groups=2)
-        decoded, results = receiver.demodulate_groups(
-            ys, P1, P2, None, rx, SOLVER, executor=executor, max_workers=2)
+        rx = receiver.ReceiverConfig(assumed_terms=2)
+        decoded, diags = receiver.demodulate_groups(
+            ys, P1, P2, None, [rx] * len(ys), SOLVER, max_workers=max_workers)
         assert decoded == sent
-        assert all(err is None for _, err in results)
+        assert len(diags) == len(ys)
 
     def test_group_order_irrelevant(self):
         ys, _ = self.payload_sets()
-        rx = receiver.ReceiverConfig(assumed_terms=2, groups=2)
-        d1, _ = receiver.demodulate_groups(ys, P1, P2, None, rx, SOLVER,
-                                           executor="serial")
-        d2, _ = receiver.demodulate_groups(ys[::-1], P1, P2, None, rx, SOLVER,
-                                           executor="serial")
+        rx = receiver.ReceiverConfig(assumed_terms=2)
+        d1, _ = receiver.demodulate_groups(ys, P1, P2, None, [rx] * len(ys), SOLVER,
+                                           max_workers=1)
+        d2, _ = receiver.demodulate_groups(ys[::-1], P1, P2, None, [rx] * len(ys), SOLVER,
+                                           max_workers=1)
         assert d1 == d2
 
-    def test_bad_executor(self):
-        rx = receiver.ReceiverConfig(assumed_terms=2)
-        with pytest.raises(ValueError):
-            receiver.demodulate_groups([np.zeros((6, 5, 4)), np.zeros((6, 5, 4))],
-                                       P1, P2, None, rx, SOLVER, executor="nope")
+    @pytest.mark.parametrize("max_workers", [1, 2], ids=["serial", "process"])
+    def test_failing_group_raises(self, max_workers):
+        ys, _ = self.payload_sets()
+        # Passes ReceiverConfig's checks, but the fit cannot draw 1.5 terms.
+        bad = receiver.ReceiverConfig(assumed_terms=1.5)
+        with pytest.raises(TypeError):
+            receiver.demodulate_groups(
+                ys, P1, P2, None, [receiver.ReceiverConfig(assumed_terms=2), bad],
+                SOLVER, max_workers=max_workers)
 
 
 def _worker_blas_threads(_):
@@ -256,6 +261,29 @@ class TestBlasPinning:
         finally:
             set_threads(parent)
         assert counts == [1, 1]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork"
+                        or not os.path.isdir("/proc/self/task"),
+                        reason="needs forked workers and /proc/self/task")
+    def test_group_workers_start_no_blas_thread(self, monkeypatch):
+        # A worker that calls the OpenBLAS setter restarts its thread pool,
+        # whose new thread busy-waits beside the worker's own work.
+        def os_threads(*_):
+            with blas.single_threaded():   # as every fit does
+                return {str(len(os.listdir("/proc/self/task")))}, receiver.ScDiagnostics()
+
+        monkeypatch.setattr(receiver, "successive_cancellation", os_threads)
+        set_threads, get_threads = blas.OPENBLAS
+        parent = get_threads()
+        set_threads(max(parent, 2))
+        try:
+            ys = [np.zeros((6, 5, 4))] * 2
+            rx = receiver.ReceiverConfig(assumed_terms=1)
+            counts, _ = receiver.demodulate_groups(ys, P1, P2, None, [rx] * 2, SOLVER,
+                                                   max_workers=2)
+        finally:
+            set_threads(parent)
+        assert counts == {"1"}
 
     def test_single_threaded_pins_and_restores(self):
         set_threads, get_threads = blas.OPENBLAS
@@ -299,5 +327,3 @@ class TestConfigValidation:
             receiver.ReceiverConfig(assumed_terms=0)
         with pytest.raises(ValueError):
             receiver.ReceiverConfig(assumed_terms=1, power_threshold=1.0)
-        with pytest.raises(ValueError):
-            receiver.ReceiverConfig(assumed_terms=1, groups=0)
