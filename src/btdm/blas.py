@@ -1,21 +1,19 @@
 """Thread control for numpy's OpenBLAS.
 
-The solver's dense products are small (a desk-size Jacobian is 640 x 176), so
-extra BLAS threads add little wall time, double the CPU time, and busy-wait
-whenever the cores are shared: with another CPU-bound process on a 2-core
-host a fit ran 5x slower with two BLAS threads than with one. Fits therefore
-run BLAS single-threaded, which also makes seeded iterates independent of the
-host's core count.
+The solver's dense products are small (the desk-size Gauss-Newton matrix is
+176 x 176), so extra BLAS threads add little wall time, double the CPU time,
+and busy-wait whenever the cores are shared: with another CPU-bound process on
+a 2-core host a fit ran 5x slower with two BLAS threads than with one. btdm
+therefore pins BLAS to one thread for good, which also makes seeded iterates
+independent of the host's core count.
 
 Only OpenBLAS is handled, through its own setter called via ctypes; with any
-other BLAS every function here does nothing.
+other BLAS pin_to_one_thread does nothing.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
-import threading
 
 from numpy.linalg import _umath_linalg
 
@@ -56,51 +54,16 @@ def _lookup_openblas():
 # function pointers instead of going through the dynamic loader again.
 OPENBLAS = _lookup_openblas()
 
-_lock = threading.Lock()
-_depth = 0
-_saved_threads = 1
-
 
 def pin_to_one_thread():
-    """Process-pool initializer: run BLAS single-threaded in this worker.
+    """Run numpy's OpenBLAS on one thread in this process from now on.
 
-    Workers already occupy the cores, so BLAS threads inside them only
-    oversubscribe and busy-wait. Setting OPENBLAS_NUM_THREADS in the parent
-    cannot do this: a forked worker inherits the thread count OpenBLAS read
-    when the parent loaded it. A worker forked inside single_threaded()
-    already runs one thread and makes no call. Never raises, since a failing
-    initializer breaks the whole pool.
+    Called at the start of every fit and before the group process pool is
+    created; never undone. The count is set only when it differs from 1:
+    OpenBLAS stops its threads when the process forks, and the next set call
+    in either process starts new ones, which busy-wait for about 0.1 s of CPU
+    before they sleep. Pool workers forked from the pinned parent therefore
+    inherit one thread and never call the setter.
     """
     if OPENBLAS is not None and OPENBLAS[1]() != 1:
         OPENBLAS[0](1)
-
-
-@contextlib.contextmanager
-def single_threaded():
-    """Run BLAS on one thread inside the block, then restore the old count.
-
-    Nested and concurrent blocks share one pin: the first to enter saves the
-    count, the last to leave restores it. The count is set only when it
-    changes: OpenBLAS stops its threads when the process forks, and the next
-    set call in either process starts new ones, which busy-wait for about
-    0.1 s of CPU before they sleep. A process forked inside the block thus
-    inherits one thread and starts none.
-    """
-    global _depth, _saved_threads
-    if OPENBLAS is None:
-        yield
-        return
-    set_threads, get_threads = OPENBLAS
-    with _lock:
-        if _depth == 0:
-            _saved_threads = get_threads()
-            if _saved_threads != 1:
-                set_threads(1)
-        _depth += 1
-    try:
-        yield
-    finally:
-        with _lock:
-            _depth -= 1
-            if _depth == 0 and _saved_threads != 1:
-                set_threads(_saved_threads)

@@ -85,11 +85,14 @@ def cmd_bench(args) -> int:
     params1, params2, _outer, kbar = harness.build_components(cfg)
     dims = (cfg.t1, cfg.t2, cfg.n_antennas)
     print("K,iterations,seconds,relative_residual")
+    solver_cfg = SolverConfig(max_iterations=cfg.max_iterations, restarts=cfg.restarts,
+                              rel_residual_tol=cfg.rel_residual_tol,
+                              grad_tol=cfg.grad_tol, seed=cfg.seed)
     for K in cfg.k_list:
-        truth = init_random(dims, K, cfg.l, seed=cfg.seed)
+        # Restart r starts from seed (cfg.seed, r), and SeedSequence ignores
+        # trailing zeros, so the truth needs a label no restart draws.
+        truth = init_random(dims, K, cfg.l, seed=(cfg.seed, 0, 1))
         Y = synthesize_received(truth)
-        solver_cfg = SolverConfig(max_iterations=cfg.max_iterations,
-                                  restarts=cfg.restarts, seed=cfg.seed)
         start = time.perf_counter()
         try:
             result = gndl_fit(Y, K, cfg.l, solver_cfg)

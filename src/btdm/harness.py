@@ -136,6 +136,10 @@ def build_components(cfg: ExperimentConfig):
             outer = OuterCode.from_lengths(cfg.b_bch, cfg.b0, cfg.bch_m, cfg.bch_t)
         except ValueError as exc:
             raise ConfigError(f"outer code: {exc}") from exc
+    terms = str(cfg.assumed_terms)
+    if terms not in ("known", "bound") and not (terms.isdecimal() and int(terms) >= 1):
+        raise ConfigError(f"assumed_terms = {cfg.assumed_terms!r} must be 'known', "
+                          "'bound' or an integer >= 1")
     kbar = receiver.uniqueness_bound(cfg.t1, cfg.t2, cfg.l, cfg.n_antennas)
     if cfg.assumed_terms == "bound" and kbar == 0:
         raise ConfigError("uniqueness bound is 0; cannot assume the bound")
@@ -150,10 +154,7 @@ def _assumed(cfg: ExperimentConfig, kbar: int, k_actual: int) -> int:
         return k_actual
     if cfg.assumed_terms == "bound":
         return kbar
-    try:
-        return int(cfg.assumed_terms)
-    except ValueError:
-        raise ConfigError(f"bad assumed_terms {cfg.assumed_terms!r}")
+    return int(cfg.assumed_terms)
 
 
 def _distinct_payloads(K: int, b0: int, rng: np.random.Generator) -> list[np.ndarray]:

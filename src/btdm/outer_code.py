@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import bits_to_int, int_to_bits
+
 _PRIMITIVE_POLY = {
     3: 0o13, 4: 0o23, 5: 0o45, 6: 0o103, 7: 0o211,
     8: 0o435, 9: 0o1021, 10: 0o2011,
@@ -165,13 +167,9 @@ class OuterCode:
         p = self.params
         if payload.shape != (p.k_eff,):
             raise ValueError(f"payload must have {p.k_eff} bits, got {payload.shape}")
-        d = 0
-        for b in payload:
-            d = (d << 1) | int(b)
-        parity = _poly_mod(d << (p.n - p.k), self._g)
         nparity = p.n - p.k
-        parity_bits = [(parity >> (nparity - 1 - i)) & 1 for i in range(nparity)]
-        return np.concatenate([payload, np.array(parity_bits, dtype=np.uint8)])
+        parity = _poly_mod(bits_to_int(payload) << nparity, self._g)
+        return np.concatenate([payload, int_to_bits(parity, nparity)])
 
     def _syndromes(self, word) -> list[int]:
         p, gf = self.params, self._gf

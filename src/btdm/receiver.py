@@ -12,6 +12,7 @@ hashable and trivially reversible to bit arrays.
 from __future__ import annotations
 
 import concurrent.futures
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,8 @@ class ReceiverConfig:
     sc_iterations: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.assumed_terms, numbers.Integral):
+            raise ValueError(f"assumed_terms must be an integer, got {self.assumed_terms!r}")
         if self.assumed_terms < 1:
             raise ValueError("assumed_terms must be >= 1")
         if not (0 <= self.power_threshold < 1):
@@ -230,9 +233,9 @@ def demodulate_groups(Y_list, params1, params2, outer, rx_cfgs,
         results = [_group_worker(j) for j in jobs]
     else:
         # Workers forked from the pinned parent inherit one BLAS thread.
-        with blas.single_threaded(), concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(max_workers, len(jobs)),
-                initializer=blas.pin_to_one_thread) as pool:
+        blas.pin_to_one_thread()
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(max_workers, len(jobs))) as pool:
             results = list(pool.map(_group_worker, jobs))
     union: set[str] = set()
     for messages, _ in results:

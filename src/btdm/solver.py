@@ -25,6 +25,11 @@ from .tensor_core import BTDModel, BlockTerm, check_finite, frobenius
 
 TIKHONOV = 1e-12
 RANK_TOL = 1e-10
+# Trust region: the initial radius relative to max(1, ||x0||), its cap, and
+# the least ratio of actual to predicted decrease that accepts a step.
+TRUST_RADIUS_INIT = 1.0
+TRUST_RADIUS_MAX = 1e3
+STEP_ACCEPT_RATIO = 0.1
 
 
 class SolverFailure(Exception):
@@ -40,9 +45,6 @@ class SolverConfig:
     max_iterations: int = 500
     rel_residual_tol: float = 1e-8
     grad_tol: float = 1e-8
-    trust_radius_init: float = 1.0
-    trust_radius_max: float = 1e3
-    step_accept_ratio: float = 0.1
     restarts: int = 5
     seed: int = 0
 
@@ -277,7 +279,7 @@ def _run_gndl(y_vec, dims, K, L, x0, config):
     r = y_vec - _model_vec(unpack_factors(x, dims, K, L), dims)
     res = float(np.linalg.norm(r))
     history = [res]
-    radius = config.trust_radius_init * max(1.0, float(np.linalg.norm(x)))
+    radius = TRUST_RADIUS_INIT * max(1.0, float(np.linalg.norm(x)))
     converged = False
     step = None
     G = np.empty((x.size, x.size), dtype=np.complex128)
@@ -302,10 +304,10 @@ def _run_gndl(y_vec, dims, K, L, x0, config):
         actual = res * res - res_new * res_new
         rho = actual / pred if pred > 0 else -1.0
         if rho > 0.75:
-            radius = min(2.0 * radius, config.trust_radius_max)
+            radius = min(2.0 * radius, TRUST_RADIUS_MAX)
         elif rho < 0.1:
             radius *= 0.25
-        if rho >= config.step_accept_ratio and actual > 0:
+        if rho >= STEP_ACCEPT_RATIO and actual > 0:
             rel_change = abs(res - res_new) / max(res, 1e-300)
             x, r, res = x_new, r_new, res_new
             history.append(res)
@@ -364,6 +366,7 @@ def orthonormal_factors(term: BlockTerm) -> tuple[np.ndarray, np.ndarray]:
 def gndl_fit(Y: np.ndarray, K: int, L: int, config: SolverConfig,
              init: BTDModel | None = None) -> SolveResult:
     """Best-of-restarts GN-dogleg fit of K rank-(L,L,1) terms to Y."""
+    blas.pin_to_one_thread()
     Y = check_finite(np.asarray(Y, dtype=np.complex128))
     if Y.ndim != 3:
         raise ValueError("Y must be a third-order tensor")
@@ -374,20 +377,19 @@ def gndl_fit(Y: np.ndarray, K: int, L: int, config: SolverConfig,
     y_norm = max(float(np.linalg.norm(y_vec)), 1e-300)
 
     best = None
-    with blas.single_threaded():
-        for restart in range(config.restarts):
-            if init is not None and restart == 0:
-                model0 = init
-            else:
-                model0 = init_random(dims, K, L, seed=(config.seed, restart))
-            x0 = pack_factors([(t.A, t.B, t.h) for t in model0.terms], dims, L)
-            x, res, iters, converged, history = _run_gndl(y_vec, dims, K, L, x0, config)
-            if not np.isfinite(res):
-                continue
-            if best is None or res < best[1]:
-                best = (x, res, iters, converged, history, restart)
-            if converged and res / y_norm < 1e-10:
-                break
+    for restart in range(config.restarts):
+        if init is not None and restart == 0:
+            model0 = init
+        else:
+            model0 = init_random(dims, K, L, seed=(config.seed, restart))
+        x0 = pack_factors([(t.A, t.B, t.h) for t in model0.terms], dims, L)
+        x, res, iters, converged, history = _run_gndl(y_vec, dims, K, L, x0, config)
+        if not np.isfinite(res):
+            continue
+        if best is None or res < best[1]:
+            best = (x, res, iters, converged, history, restart)
+        if converged and res / y_norm < 1e-10:
+            break
     if best is None:
         raise SolverFailure("all restarts diverged")
 

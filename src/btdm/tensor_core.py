@@ -1,10 +1,8 @@
 """Dense complex third-order tensor arithmetic for rank-(L,L,1) block terms.
 
 Memory layout convention: a tensor of dims (T1, T2, N) is stored as a numpy
-array of shape (T1, T2, N); its vectorization and all unfoldings use
-Fortran (column-major) ordering, i.e. mode 1 varies fastest.  The mode-n
-unfolding puts mode n on the rows; the columns run over the remaining modes
-with the lower mode index varying fastest.
+array of shape (T1, T2, N); its vectorization uses Fortran (column-major)
+ordering, i.e. mode 1 varies fastest.
 """
 
 from __future__ import annotations
@@ -106,26 +104,6 @@ def synthesize_received(model: BTDModel, noise: np.ndarray | None = None) -> np.
             raise ValueError(f"noise dims {noise.shape} do not match {Y.shape}")
         Y += noise
     return check_finite(Y)
-
-
-def unfold(tensor: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-n unfolding; columns ordered with the lower remaining mode fastest."""
-    tensor = _as_complex(tensor, "tensor", 3)
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    return np.reshape(
-        np.moveaxis(tensor, mode - 1, 0), (tensor.shape[mode - 1], -1), order="F"
-    )
-
-
-def refold(matrix: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
-    """Inverse of :func:`unfold` for the given full tensor dims."""
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    rest = [d for i, d in enumerate(dims) if i != mode - 1]
-    arr = np.reshape(np.asarray(matrix, dtype=np.complex128),
-                     (dims[mode - 1], *rest), order="F")
-    return np.moveaxis(arr, 0, mode - 1)
 
 
 def frobenius(tensor: np.ndarray) -> float:

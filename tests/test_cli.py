@@ -125,4 +125,5 @@ class TestBench:
         lines = out.strip().split("\n")
         assert lines[0] == "K,iterations,seconds,relative_residual"
         k, iters, secs, rel = lines[1].split(",")
-        assert k == "1" and float(rel) < 1e-6
+        # The fit starts away from the truth, so it has to descend to it.
+        assert k == "1" and int(iters) >= 1 and float(rel) < 1e-6

@@ -86,6 +86,13 @@ class TestBuildComponents:
         with pytest.raises(harness.ConfigError):
             harness.build_components(desk_config(workers=0))
 
+    def test_assumed_terms(self):
+        for good in ("known", "bound", "3"):
+            harness.build_components(desk_config(assumed_terms=good))
+        for bad in ("foo", "0", "1.5", "-2", ""):
+            with pytest.raises(harness.ConfigError):
+                harness.build_components(desk_config(assumed_terms=bad))
+
     def test_no_outer_code(self):
         cfg = desk_config(use_outer_code=False)
         _, _, outer, _ = harness.build_components(cfg)

@@ -71,28 +71,6 @@ class TestSynthesizeReceived:
         assert tc.frobenius(Yab - Ya - Yb) <= 1e-10 * tc.frobenius(Yab)
 
 
-class TestUnfold:
-    def test_mode1_hand_enumeration(self):
-        # Entries 1..8 laid out with mode 1 fastest.
-        X = np.arange(1, 9).reshape(2, 2, 2, order="F").astype(complex)
-        np.testing.assert_array_equal(
-            tc.unfold(X, 1), np.array([[1, 3, 5, 7], [2, 4, 6, 8]]))
-
-    @pytest.mark.parametrize("mode", [1, 2, 3])
-    def test_refold_inverse(self, rng, mode):
-        X = crandn(rng, 4, 3, 5)
-        np.testing.assert_array_equal(tc.refold(tc.unfold(X, mode), mode, X.shape), X)
-
-    @pytest.mark.parametrize("mode", [1, 2, 3])
-    def test_norm_preservation(self, rng, mode):
-        X = crandn(rng, 4, 3, 5)
-        assert np.linalg.norm(tc.unfold(X, mode)) == pytest.approx(tc.frobenius(X))
-
-    def test_invalid_mode(self, rng):
-        with pytest.raises(ValueError):
-            tc.unfold(crandn(rng, 2, 2, 2), 4)
-
-
 class TestResidual:
     def test_exact_fit(self, rng):
         model = tc.BTDModel(terms=tuple(make_term(rng) for _ in range(2)))
