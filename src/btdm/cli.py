@@ -86,8 +86,7 @@ def cmd_bench(args) -> int:
     dims = (cfg.t1, cfg.t2, cfg.n_antennas)
     print("K,iterations,seconds,relative_residual")
     solver_cfg = SolverConfig(max_iterations=cfg.max_iterations, restarts=cfg.restarts,
-                              rel_residual_tol=cfg.rel_residual_tol,
-                              grad_tol=cfg.grad_tol, seed=cfg.seed)
+                              seed=cfg.seed)
     for K in cfg.k_list:
         # Restart r starts from seed (cfg.seed, r), and SeedSequence ignores
         # trailing zeros, so the truth needs a label no restart draws.

@@ -93,10 +93,6 @@ class CodecParams:
         ell1, ell2, parts = bit_budget(T, L, ell)
         return cls(T=T, L=L, ell=ell, ell1=ell1, ell2=ell2, part_lengths=parts, f=f)
 
-    @property
-    def n_pairs(self) -> int:
-        return self.T * (self.T - 1) // 2 if self.L == 2 else self.T
-
 
 @dataclass(frozen=True)
 class GrassmannSymbol:

@@ -53,8 +53,6 @@ class ExperimentConfig:
     seed: int = 0
     max_iterations: int = 500
     restarts: int = 5
-    rel_residual_tol: float = 1e-8
-    grad_tol: float = 1e-8
     workers: int = 1               # processes for a trial's user groups
     strict: bool = False           # fail the run on solver failures
 
@@ -177,9 +175,7 @@ def run_trial(cfg: ExperimentConfig, params1, params2, outer, kbar: int,
     noise_rng = np.random.default_rng((*base, 2))
     solver_seed = int(np.random.SeedSequence((*base, 3)).generate_state(1)[0])
     solver_cfg = SolverConfig(
-        max_iterations=cfg.max_iterations, restarts=cfg.restarts,
-        rel_residual_tol=cfg.rel_residual_tol, grad_tol=cfg.grad_tol,
-        seed=solver_seed,
+        max_iterations=cfg.max_iterations, restarts=cfg.restarts, seed=solver_seed,
     )
     payloads = _distinct_payloads(K, cfg.b0 if outer else cfg.b_bch, payload_rng)
     sent = {receiver.bits_to_message(p) for p in payloads}

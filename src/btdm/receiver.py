@@ -206,10 +206,8 @@ def successive_cancellation(Y: np.ndarray, params1, params2,
         found |= new
         sc_diag.passes.append(set(found))
         sc_diag.pass_diags.append(diag)
-        if it > 0 and not new:
-            break
-        if not new and it == 0 and not messages:
-            # Nothing decoded at all; further passes see the same tensor.
+        if not new:
+            # Nothing new decoded; further passes see the same tensor.
             break
     return found, sc_diag
 

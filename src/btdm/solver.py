@@ -9,9 +9,11 @@ finite-difference checks.
 The Jacobian is never formed. Its products are mode contractions and
 first-order syntheses of the factors (:class:`_Linearisation`), and the
 Gauss-Newton matrix J^H J is assembled from the factors' small Gram matrices
-(:func:`_gramian`), so memory stays O(P^2) for P parameters. A rejected
-trial step reuses the gradient, Gauss-Newton step and Cauchy step of its
-point (:class:`_Dogleg`).
+(:func:`_gramian`), so memory stays O(P^2) for P parameters. The model at
+each point the descent evaluates is read from that point's linearisation, so
+it is synthesised once, and an accepted point keeps its linearisation for its
+step. A rejected trial step reuses the gradient, Gauss-Newton step and Cauchy
+step of its point (:class:`_Dogleg`).
 """
 
 from __future__ import annotations
@@ -21,15 +23,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blas
-from .tensor_core import BTDModel, BlockTerm, check_finite, frobenius
+from .tensor_core import RANK_TOL, BTDModel, BlockTerm, check_finite
 
 TIKHONOV = 1e-12
-RANK_TOL = 1e-10
 # Trust region: the initial radius relative to max(1, ||x0||), its cap, and
 # the least ratio of actual to predicted decrease that accepts a step.
 TRUST_RADIUS_INIT = 1.0
 TRUST_RADIUS_MAX = 1e3
 STEP_ACCEPT_RATIO = 0.1
+# Convergence: an accepted step that lowers the residual by less than this
+# relative amount, or a gradient norm below GRAD_TOL, ends the descent.
+REL_RESIDUAL_TOL = 1e-8
+GRAD_TOL = 1e-8
 
 
 class SolverFailure(Exception):
@@ -43,14 +48,10 @@ class CanonicalizationFailure(Exception):
 @dataclass(frozen=True)
 class SolverConfig:
     max_iterations: int = 500
-    rel_residual_tol: float = 1e-8
-    grad_tol: float = 1e-8
     restarts: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        if self.rel_residual_tol <= 0 or self.grad_tol <= 0:
-            raise ValueError("tolerances must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -75,25 +76,11 @@ def _factor_sizes(dims, L):
     return T1 * L, T2 * L, N
 
 
-def pack_factors(factors, dims, L) -> np.ndarray:
+def pack_factors(factors) -> np.ndarray:
     chunks = []
     for A, B, h in factors:
         chunks.extend([A.ravel(order="F"), B.ravel(order="F"), h])
     return np.concatenate(chunks)
-
-
-def unpack_factors(x: np.ndarray, dims, K: int, L: int):
-    T1, T2, N = dims
-    na, nb, nh = _factor_sizes(dims, L)
-    per = na + nb + nh
-    factors = []
-    for k in range(K):
-        s = k * per
-        A = x[s:s + na].reshape(T1, L, order="F")
-        B = x[s + na:s + na + nb].reshape(T2, L, order="F")
-        h = x[s + na + nb:s + per]
-        factors.append((A, B, h))
-    return factors
 
 
 def complex_to_real(x: np.ndarray) -> np.ndarray:
@@ -107,14 +94,6 @@ def real_to_complex(x: np.ndarray) -> np.ndarray:
     return x[0::2] + 1j * x[1::2]
 
 
-def _model_vec(factors, dims) -> np.ndarray:
-    T1, T2, N = dims
-    m = np.zeros(T1 * T2 * N, dtype=np.complex128)
-    for A, B, h in factors:
-        m += np.einsum("il,jl,n->ijn", A, B, h).ravel(order="F")
-    return m
-
-
 def _stacked(x: np.ndarray, dims, K: int, L: int):
     """Views of packed x as stacked factors: A (K, T1, L), B (K, T2, L), h (K, N)."""
     T1, T2, N = dims
@@ -126,7 +105,8 @@ def _stacked(x: np.ndarray, dims, K: int, L: int):
 
 
 class _Linearisation:
-    """The Jacobian J = d vec(model) / d x at one point, applied without forming it.
+    """The model at one point and its Jacobian J = d vec(model) / d x, applied
+    without forming it.
 
     Row m = i + T1*j + T1*T2*n of vec(model) is entry (i, j, n), so a vector
     over the rows reshapes to (N, T2, T1) in C order. With W_k = A_k B_k^T:
@@ -141,6 +121,10 @@ class _Linearisation:
         self.dims, self.K, self.L = dims, K, L
         self.A, self.B, self.h = _stacked(x, dims, K, L)
         self.Wt = (self.B @ self.A.transpose(0, 2, 1)).reshape(K, -1)   # W_k^T, flat
+
+    def model(self) -> np.ndarray:
+        """vec(model) at the point, sum_k W_k o h_k."""
+        return (self.h.T @ self.Wt).ravel()
 
     def matvec(self, d: np.ndarray) -> np.ndarray:
         """J d, the first-order change of vec(model) along d."""
@@ -214,15 +198,15 @@ def _gramian(lin: _Linearisation, out: np.ndarray) -> np.ndarray:
 
 def objective(Y: np.ndarray, x: np.ndarray, K: int, L: int) -> float:
     """Squared Frobenius misfit of the packed complex parameter vector."""
-    factors = unpack_factors(x, Y.shape, K, L)
-    r = Y.ravel(order="F") - _model_vec(factors, Y.shape)
+    r = Y.ravel(order="F") - _Linearisation(x, Y.shape, K, L).model()
     return float(np.vdot(r, r).real)
 
 
 def gradient_real(Y: np.ndarray, x: np.ndarray, K: int, L: int) -> np.ndarray:
     """Gradient of :func:`objective` w.r.t. interleaved real/imag coordinates."""
-    r = Y.ravel(order="F") - _model_vec(unpack_factors(x, Y.shape, K, L), Y.shape)
-    return -2.0 * complex_to_real(_Linearisation(x, Y.shape, K, L).rmatvec(r))
+    lin = _Linearisation(x, Y.shape, K, L)
+    r = Y.ravel(order="F") - lin.model()
+    return -2.0 * complex_to_real(lin.rmatvec(r))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +260,8 @@ class _Dogleg:
 def _run_gndl(y_vec, dims, K, L, x0, config):
     """One GN-dogleg descent from x0; returns (x, residual, iters, converged, history)."""
     x = x0.copy()
-    r = y_vec - _model_vec(unpack_factors(x, dims, K, L), dims)
+    lin = _Linearisation(x, dims, K, L)
+    r = y_vec - lin.model()
     res = float(np.linalg.norm(r))
     history = [res]
     radius = TRUST_RADIUS_INIT * max(1.0, float(np.linalg.norm(x)))
@@ -286,9 +271,8 @@ def _run_gndl(y_vec, dims, K, L, x0, config):
     it = 0
     for it in range(1, config.max_iterations + 1):
         if step is None:
-            lin = _Linearisation(x, dims, K, L)
             step = _Dogleg(lin, r)
-            if 2.0 * np.linalg.norm(step.g) < config.grad_tol:
+            if 2.0 * np.linalg.norm(step.g) < GRAD_TOL:
                 converged = True
                 it -= 1
                 break
@@ -296,7 +280,8 @@ def _run_gndl(y_vec, dims, K, L, x0, config):
         d = step(radius)
         pred = res * res - float(np.linalg.norm(r - lin.matvec(d)) ** 2)
         x_new = x + d
-        r_new = y_vec - _model_vec(unpack_factors(x_new, dims, K, L), dims)
+        lin_new = _Linearisation(x_new, dims, K, L)
+        r_new = y_vec - lin_new.model()
         res_new = float(np.linalg.norm(r_new))
         if not np.isfinite(res_new):
             radius *= 0.25
@@ -309,10 +294,10 @@ def _run_gndl(y_vec, dims, K, L, x0, config):
             radius *= 0.25
         if rho >= STEP_ACCEPT_RATIO and actual > 0:
             rel_change = abs(res - res_new) / max(res, 1e-300)
-            x, r, res = x_new, r_new, res_new
+            x, lin, r, res = x_new, lin_new, r_new, res_new
             history.append(res)
             step = None
-            if rel_change < config.rel_residual_tol:
+            if rel_change < REL_RESIDUAL_TOL:
                 converged = True
                 break
         if radius < 1e-14:
@@ -382,7 +367,7 @@ def gndl_fit(Y: np.ndarray, K: int, L: int, config: SolverConfig,
             model0 = init
         else:
             model0 = init_random(dims, K, L, seed=(config.seed, restart))
-        x0 = pack_factors([(t.A, t.B, t.h) for t in model0.terms], dims, L)
+        x0 = pack_factors([(t.A, t.B, t.h) for t in model0.terms])
         x, res, iters, converged, history = _run_gndl(y_vec, dims, K, L, x0, config)
         if not np.isfinite(res):
             continue
@@ -396,7 +381,7 @@ def gndl_fit(Y: np.ndarray, K: int, L: int, config: SolverConfig,
     x, res, iters, converged, history, restart = best
     terms = []
     undecodable = []
-    for k, (A, B, h) in enumerate(unpack_factors(x, dims, K, L)):
+    for k, (A, B, h) in enumerate(zip(*_stacked(x, dims, K, L))):
         try:
             terms.append(orthonormalize_term(_term_unchecked(A, B, h)))
         except CanonicalizationFailure:

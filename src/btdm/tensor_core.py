@@ -23,7 +23,7 @@ def _as_complex(x, name: str, ndim: int) -> np.ndarray:
 
 
 def check_finite(tensor: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(tensor.view(np.float64))):
+    if not np.all(np.isfinite(tensor)):
         raise ValueError("tensor contains NaN or Inf entries")
     return tensor
 
@@ -108,13 +108,3 @@ def synthesize_received(model: BTDModel, noise: np.ndarray | None = None) -> np.
 
 def frobenius(tensor: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(tensor).ravel()))
-
-
-def residual(model: BTDModel, Y: np.ndarray) -> float:
-    """||Y - sum_k (A_k B_k^T) x h_k||_F."""
-    Y = _as_complex(Y, "Y", 3)
-    if len(model) == 0:
-        return frobenius(Y)
-    if model.terms[0].dims != Y.shape:
-        raise ValueError(f"model dims {model.terms[0].dims} do not match Y {Y.shape}")
-    return frobenius(Y - synthesize_received(model))

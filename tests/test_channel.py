@@ -92,7 +92,7 @@ class TestTransmit:
                 self.payloads(rng), self.p1, self.p2, cfg, b0=10,
                 channel_rng=np.random.default_rng((2, i)),
                 noise_rng=np.random.default_rng((3, i)))
-            total += tc.residual(model, Y) ** 2
+            total += tc.frobenius(Y - tc.synthesize_received(model)) ** 2
         expected = sigma ** 2 * 6 * 5 * 4
         assert total / trials == pytest.approx(expected, rel=0.15)
 

@@ -40,18 +40,28 @@ def match_terms(fitted, truth):
     return pairs
 
 
+def synthesised(x, dims, K, L):
+    """vec(model) of packed x, synthesised by tensor_core over the solver's
+    stacked views: an oracle independent of the solver's own synthesis."""
+    terms = tuple(tc.BlockTerm(A=A, B=B, h=h)
+                  for A, B, h in zip(*solver._stacked(x, dims, K, L)))
+    return tc.synthesize_received(tc.BTDModel(terms=terms)).ravel(order="F")
+
+
 class TestPacking:
     def test_roundtrip(self, rng):
         dims, K, L = (4, 3, 2), 3, 2
         factors = [(crandn(rng, 4, L), crandn(rng, 3, L), crandn(rng, 2))
                    for _ in range(K)]
-        x = solver.pack_factors(factors, dims, L)
+        x = solver.pack_factors(factors)
         assert x.shape == (K * (4 * L + 3 * L + 2),)
-        back = solver.unpack_factors(x, dims, K, L)
-        for (A, B, h), (A2, B2, h2) in zip(factors, back):
+        for (A, B, h), A2, B2, h2 in zip(factors, *solver._stacked(x, dims, K, L)):
             np.testing.assert_array_equal(A, A2)
             np.testing.assert_array_equal(B, B2)
             np.testing.assert_array_equal(h, h2)
+        model = tc.BTDModel(terms=tuple(tc.BlockTerm(A=A, B=B, h=h) for A, B, h in factors))
+        np.testing.assert_array_equal(synthesised(x, dims, K, L),
+                                      tc.synthesize_received(model).ravel(order="F"))
 
     def test_real_complex_roundtrip(self, rng):
         x = crandn(rng, 17)
@@ -79,7 +89,7 @@ class TestGradient:
         model = random_model(rng, K=1)
         Y = tc.synthesize_received(model)
         t = model.terms[0]
-        x = solver.pack_factors([(t.A, t.B, t.h)], Y.shape, 2)
+        x = solver.pack_factors([(t.A, t.B, t.h)])
         assert np.linalg.norm(solver.gradient_real(Y, x, 1, 2)) <= 1e-10
 
 
@@ -87,14 +97,13 @@ def _fd_jacobian(factors, dims, L, eps=1e-6):
     """Central differences of the model in each complex parameter (the model
     is holomorphic, so a real step gives the complex derivative)."""
     K = len(factors)
-    x = solver.pack_factors(factors, dims, L)
+    x = solver.pack_factors(factors)
     cols = []
     for p in range(x.size):
         xp, xm = x.copy(), x.copy()
         xp[p] += eps
         xm[p] -= eps
-        cols.append((solver._model_vec(solver.unpack_factors(xp, dims, K, L), dims)
-                     - solver._model_vec(solver.unpack_factors(xm, dims, K, L), dims))
+        cols.append((synthesised(xp, dims, K, L) - synthesised(xm, dims, K, L))
                     / (2 * eps))
     return np.stack(cols, axis=1)
 
@@ -138,7 +147,7 @@ class TestJacobian:
     @staticmethod
     def _point(rng, dims, K, L):
         factors = [(t.A, t.B, t.h) for t in random_model(rng, dims, K, L).terms]
-        x = solver.pack_factors(factors, dims, L)
+        x = solver.pack_factors(factors)
         return factors, x, solver._Linearisation(x, dims, K, L)
 
     @pytest.mark.parametrize("dims,K,L", SHAPES)
@@ -146,6 +155,12 @@ class TestJacobian:
         factors, _, _ = self._point(rng, dims, K, L)
         J = _dense_jacobian(factors, dims, L)
         np.testing.assert_allclose(J, _fd_jacobian(factors, dims, L), atol=1e-8)
+
+    @pytest.mark.parametrize("dims,K,L", SHAPES)
+    def test_model_equals_synthesis(self, rng, dims, K, L):
+        _, x, lin = self._point(rng, dims, K, L)
+        want = synthesised(x, dims, K, L)
+        assert _rel_err(lin.model(), want) <= 1e-12
 
     @pytest.mark.parametrize("dims,K,L", SHAPES)
     def test_gramian_equals_dense_product(self, rng, dims, K, L):
@@ -204,6 +219,22 @@ class TestFit:
         hist = res.residual_history
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
+    def test_reported_residual_matches_synthesis(self, rng):
+        model = random_model(rng, dims=(6, 5, 4), K=2)
+        Y = tc.synthesize_received(model) + 0.05 * crandn(rng, 6, 5, 4)
+        res = solver.gndl_fit(Y, 2, 2, solver.SolverConfig(seed=2, restarts=2))
+        want = tc.frobenius(Y - tc.synthesize_received(res.model)) / tc.frobenius(Y)
+        assert res.relative_residual == pytest.approx(want, rel=1e-9)
+
+    def test_memory_layout_does_not_matter(self, rng):
+        model = random_model(rng, dims=(6, 5, 4), K=2)
+        Y = tc.synthesize_received(model) + 0.05 * crandn(rng, 6, 5, 4)
+        cfg = solver.SolverConfig(seed=2, restarts=1, max_iterations=30)
+        r1 = solver.gndl_fit(Y, 2, 2, cfg)
+        r2 = solver.gndl_fit(np.asfortranarray(Y), 2, 2, cfg)
+        assert r1.relative_residual == r2.relative_residual
+        assert r1.residual_history == r2.residual_history
+
     def test_noise_only_does_not_crash(self, rng):
         Y = crandn(rng, 6, 5, 4)
         res = solver.gndl_fit(Y, 2, 2, solver.SolverConfig(seed=0, restarts=2,
@@ -240,21 +271,40 @@ class TestFit:
 
 
 class TestStepReuse:
-    def test_one_gramian_per_accepted_point(self, monkeypatch):
+    @staticmethod
+    def _descend():
         # This seeded descent rejects three of its eight trial steps, the last
         # one included, so every point it reaches gets a Gauss-Newton step.
         rng = np.random.default_rng(3)
         model = random_model(rng, dims=(6, 5, 4), K=2)
         Y = tc.synthesize_received(model) + 0.05 * crandn(rng, 6, 5, 4)
-        calls = []
-        gramian = solver._gramian
-        monkeypatch.setattr(solver, "_gramian",
-                            lambda *args: calls.append(1) or gramian(*args))
         res = solver.gndl_fit(Y, 2, 2, solver.SolverConfig(seed=2, restarts=1,
                                                            max_iterations=8))
         accepted = len(res.residual_history) - 1
         assert res.iterations == 8 and res.iterations - accepted == 3
+        return res
+
+    def test_one_gramian_per_accepted_point(self, monkeypatch):
+        calls = []
+        gramian = solver._gramian
+        monkeypatch.setattr(solver, "_gramian",
+                            lambda *args: calls.append(1) or gramian(*args))
+        res = self._descend()
         assert len(calls) == len(res.residual_history)
+
+    def test_one_linearisation_per_evaluated_point(self, monkeypatch):
+        # The start point and each of the eight trial points are synthesised
+        # once; an accepted point's linearisation is kept for its step.
+        built = []
+
+        class Counting(solver._Linearisation):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(solver, "_Linearisation", Counting)
+        res = self._descend()
+        assert len(built) == 1 + res.iterations == 9
 
 
 class TestMemory:

@@ -71,27 +71,6 @@ class TestSynthesizeReceived:
         assert tc.frobenius(Yab - Ya - Yb) <= 1e-10 * tc.frobenius(Yab)
 
 
-class TestResidual:
-    def test_exact_fit(self, rng):
-        model = tc.BTDModel(terms=tuple(make_term(rng) for _ in range(2)))
-        assert tc.residual(model, tc.synthesize_received(model)) <= 1e-10
-
-    def test_empty_model(self, rng):
-        Y = crandn(rng, 4, 3, 2)
-        assert tc.residual(tc.BTDModel(terms=()), Y) == pytest.approx(tc.frobenius(Y))
-
-    def test_direct_oracle(self, rng):
-        model = tc.BTDModel(terms=tuple(make_term(rng) for _ in range(2)))
-        Y = crandn(rng, 4, 3, 2)
-        diff = Y - sum(tc.synthesize_block_term(t) for t in model.terms)
-        assert tc.residual(model, Y) == pytest.approx(np.linalg.norm(diff.ravel()), abs=1e-12)
-
-    def test_dims_mismatch(self, rng):
-        model = tc.BTDModel(terms=(make_term(rng),))
-        with pytest.raises(ValueError):
-            tc.residual(model, crandn(rng, 5, 3, 2))
-
-
 class TestInvariants:
     def test_block_term_scaling_invariance(self, rng):
         # (A, B, h) ~ (a1*A*S, a2*B*S^-T, a3*h) whenever a1*a2*a3 = 1.
@@ -130,3 +109,11 @@ class TestValidation:
         Y[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
             tc.check_finite(Y)
+
+    def test_finite_check_accepts_any_layout(self, rng):
+        Y = crandn(rng, 2, 3, 4)
+        for view in (np.asfortranarray(Y), Y[:, :, ::2], Y.transpose(2, 0, 1)):
+            assert tc.check_finite(view) is view
+        Y[1, 2, 2] = np.inf
+        with pytest.raises(ValueError):
+            tc.check_finite(Y[:, :, ::2])
