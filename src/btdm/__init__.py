@@ -8,7 +8,7 @@ sweeps) and cli (command-line entry point).
 """
 
 from .tensor_core import BTDModel, BlockTerm, synthesize_block_term, synthesize_received
-from .codec import CodecParams, GrassmannSymbol, DemapFailure, build_symbol, demap_symbol
+from .codec import CodecParams, DemapFailure, build_symbol, demap_symbol
 from .solver import SolverConfig, SolveResult, gndl_fit, cpd_fit
 from .outer_code import OuterCode, DecodeStatus
 from .channel import ChannelConfig, transmit, noise_sigma
@@ -17,7 +17,7 @@ from .harness import ExperimentConfig, run_monte_carlo
 
 __all__ = [
     "BTDModel", "BlockTerm", "synthesize_block_term", "synthesize_received",
-    "CodecParams", "GrassmannSymbol", "DemapFailure", "build_symbol", "demap_symbol",
+    "CodecParams", "DemapFailure", "build_symbol", "demap_symbol",
     "SolverConfig", "SolveResult", "gndl_fit", "cpd_fit",
     "OuterCode", "DecodeStatus",
     "ChannelConfig", "transmit", "noise_sigma",

@@ -75,8 +75,8 @@ def transmit(payloads, params1: codec.CodecParams, params2: codec.CodecParams,
         payload = np.asarray(payload, dtype=np.uint8)
         if payload.shape != (b1 + b2,):
             raise ValueError(f"payload {k} must have {b1 + b2} bits")
-        A = codec.build_symbol(payload[:b1], params1).matrix
-        B = codec.build_symbol(payload[b1:], params2).matrix
+        A = codec.build_symbol(payload[:b1], params1)
+        B = codec.build_symbol(payload[b1:], params2)
         terms.append(BlockTerm(A=scale * A, B=B, h=H[k]))
     model = BTDModel(terms=tuple(terms))
     dims = (params1.T, params2.T, config.n_antennas)

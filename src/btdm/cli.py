@@ -48,16 +48,15 @@ def cmd_check_params(args) -> int:
 
 def cmd_encode(args) -> int:
     ell = args.ell if args.ell is not None else 4 * len(args.bits)
-    params = codec.CodecParams.create(args.t, args.l, ell, f=args.f)
+    params = codec.CodecParams(args.t, args.l, ell, f=args.f)
     bits = codec.int_to_bits(int(args.bits, 16), ell)
-    symbol = codec.build_symbol(bits, params)
-    for row in symbol.matrix:
+    for row in codec.build_symbol(bits, params):
         print(",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row))
     return EXIT_OK
 
 
 def cmd_decode(args) -> int:
-    params = codec.CodecParams.create(args.t, args.l, args.ell, f=args.f)
+    params = codec.CodecParams(args.t, args.l, args.ell, f=args.f)
     rows = []
     source = open(args.matrix) if args.matrix != "-" else sys.stdin
     try:
@@ -68,10 +67,8 @@ def cmd_decode(args) -> int:
     finally:
         if source is not sys.stdin:
             source.close()
-    M = np.array(rows, dtype=np.complex128)
-    Q = np.linalg.qr(M)[0]
     try:
-        bits, confidence = codec.demap_symbol(Q, params)
+        bits, confidence = codec.demap_symbol(np.array(rows, dtype=np.complex128), params)
     except codec.DemapFailure as exc:
         print(f"demap failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -4,19 +4,25 @@ Maps bit payloads to T x L unitary matrix symbols and back.  A symbol carries
 two bit groups: the first group selects the pair of dominant rows (the region
 of the Grassmann manifold), the second fills the remaining rows with complex
 scalars strictly inside the unit disc via the cube-split mapping (normal
-quantiles of mid-cell probabilities).  Demapping is exactly invariant to
-right-unitary rotation and nonzero complex scaling of the symbol estimate.
+quantiles of mid-cell probabilities).
+
+A fitted block term fixes each factor only up to an invertible L x L right
+factor, so demapping reads the estimate's column space alone: it accepts any
+basis of the estimated subspace and is invariant to any invertible right
+factor.  :func:`demap_symbol` is where an estimate enters the codec and the
+one place it is checked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-UNITARITY_TOL = 1e-10
+from .tensor_core import RANK_TOL
+
 ORTHO_INPUT_TOL = 1e-8
 DET_TOL = 1e-12
 # Radial clamp for disc points pushed outside the unit circle by noise.
@@ -71,42 +77,23 @@ def bit_budget(T: int, L: int, ell: int) -> tuple[int, int, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class CodecParams:
-    """All constellation constants for one sub-constellation."""
+    """All constellation constants for one sub-constellation; the bit budget
+    (ell1, ell2, part_lengths) follows from (T, L, ell)."""
 
     T: int
     L: int
     ell: int
-    ell1: int
-    ell2: int
-    part_lengths: tuple[int, ...]
     f: float = 2.0
+    ell1: int = field(init=False)
+    ell2: int = field(init=False)
+    part_lengths: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         if self.f <= math.sqrt(2.0):
             raise ValueError("pilot constant f must be strictly greater than sqrt(2)")
-        e1, e2, parts = bit_budget(self.T, self.L, self.ell)
-        if (e1, e2, tuple(self.part_lengths)) != (self.ell1, self.ell2, tuple(parts)):
-            raise ValueError("inconsistent bit budget for (T, L, ell)")
-
-    @classmethod
-    def create(cls, T: int, L: int, ell: int, f: float = 2.0) -> "CodecParams":
-        ell1, ell2, parts = bit_budget(T, L, ell)
-        return cls(T=T, L=L, ell=ell, ell1=ell1, ell2=ell2, part_lengths=parts, f=f)
-
-
-@dataclass(frozen=True)
-class GrassmannSymbol:
-    """T x L column-orthonormal matrix carrying an encoded payload."""
-
-    matrix: np.ndarray
-    params: CodecParams | None = None
-
-    def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=np.complex128)
-        gram = M.conj().T @ M - np.eye(M.shape[1])
-        if np.linalg.norm(gram) > UNITARITY_TOL:
-            raise ValueError("symbol columns are not orthonormal")
-        object.__setattr__(self, "matrix", M)
+        budget = zip(("ell1", "ell2", "part_lengths"), bit_budget(self.T, self.L, self.ell))
+        for name, value in budget:
+            object.__setattr__(self, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +200,8 @@ def _bits_from_coords(a: np.ndarray, parts: tuple[int, ...]) -> np.ndarray:
 # Symbol construction and demapping, L = 2.
 # ---------------------------------------------------------------------------
 
-def build_symbol(b, params: CodecParams) -> GrassmannSymbol:
+def build_symbol(b, params: CodecParams) -> np.ndarray:
+    """The T x L column-orthonormal symbol carrying the payload bits b."""
     b = np.asarray(b, dtype=np.uint8)
     if b.shape != (params.ell,):
         raise ValueError(f"payload must have {params.ell} bits, got {b.shape}")
@@ -232,7 +220,7 @@ def build_symbol(b, params: CodecParams) -> GrassmannSymbol:
     U[rest, 1] = a[half:]
     # Exact column orthogonality before scaling: col1^H col2 = -i_p + i_p = 0.
     U /= np.linalg.norm(U, axis=0, keepdims=True)
-    return GrassmannSymbol(matrix=U, params=params)
+    return U
 
 
 def detect_dominant_pair(Mhat: np.ndarray) -> tuple[int, int]:
@@ -257,13 +245,9 @@ def detect_dominant_pair(Mhat: np.ndarray) -> tuple[int, int]:
     return p, q
 
 
-def _matrix_of(M) -> np.ndarray:
-    return M.matrix if isinstance(M, GrassmannSymbol) else np.asarray(M, dtype=np.complex128)
-
-
 def chordal_distance(M, N) -> float:
     """d = sqrt(2 - |tr(M^H N N^H M)|) for column-orthonormal M, N."""
-    M, N = _matrix_of(M), _matrix_of(N)
+    M, N = np.asarray(M, dtype=np.complex128), np.asarray(N, dtype=np.complex128)
     for X, name in ((M, "M"), (N, "N")):
         if np.linalg.norm(X.conj().T @ X - np.eye(X.shape[1])) > ORTHO_INPUT_TOL:
             raise ValueError(f"{name} is not column-orthonormal")
@@ -290,20 +274,32 @@ def solve_pilot_inner_product(W: np.ndarray, f: float) -> complex:
 
 
 def demap_symbol(Ahat, params: CodecParams) -> tuple[np.ndarray, float]:
-    """Recover the payload bits from a column-orthonormal subspace estimate.
+    """Recover the payload bits from any basis of the estimated subspace.
 
-    Returns (bits, confidence); confidence is the negated chordal distance
-    between the estimate and the re-encoded symbol.  Raises DemapFailure when
-    the estimate cannot correspond to any constellation point.
+    Ahat is any T x L matrix whose columns span the estimate: the result is
+    invariant to any invertible right factor, so a fitted factor is passed
+    as it is.  Returns (bits, confidence); confidence is the negated chordal
+    distance between the estimate and the re-encoded symbol.  Raises
+    ValueError for a wrongly shaped or non-finite input, and DemapFailure
+    when the estimate is rank deficient or cannot correspond to any
+    constellation point.
     """
-    A = _matrix_of(Ahat)
+    A = np.asarray(Ahat, dtype=np.complex128)
+    if A.shape != (params.T, params.L):
+        raise ValueError(f"estimate must be {params.T} x {params.L}, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("estimate contains NaN or Inf entries")
+    Q, R = np.linalg.qr(A)
+    r = np.abs(R.diagonal())
+    if r.min() <= RANK_TOL * r.max():
+        raise DemapFailure("estimate is numerically rank deficient")
     if params.L == 1:
-        return demap_symbol_rank1(A, params)
+        return demap_symbol_rank1(Q, params)
     T, f = params.T, params.f
-    p, q = detect_dominant_pair(A)
+    p, q = detect_dominant_pair(Q)
     b1 = bits_from_pair(p, q, T, params.ell1)
-    A1 = A[[p - 1, q - 1], :]
-    A2 = np.delete(A, [p - 1, q - 1], axis=0)
+    A1 = Q[[p - 1, q - 1], :]
+    A2 = np.delete(Q, [p - 1, q - 1], axis=0)
     det = A1[0, 0] * A1[1, 1] - A1[0, 1] * A1[1, 0]
     if abs(det) < DET_TOL * np.linalg.norm(A1) ** 2:
         raise DemapFailure("dominant-row block is numerically singular")
@@ -313,21 +309,15 @@ def demap_symbol(Ahat, params: CodecParams) -> tuple[np.ndarray, float]:
     a = np.concatenate([A2_rec[:, 0], A2_rec[:, 1]])
     b2 = _bits_from_coords(a, params.part_lengths)
     bits = np.concatenate([b1, b2])
-    rebuilt = build_symbol(bits, params)
-    confidence = -chordal_distance(GrassmannSymbol(_orthonormalize(A)), rebuilt)
+    confidence = -chordal_distance(Q, build_symbol(bits, params))
     return bits, confidence
-
-
-def _orthonormalize(A: np.ndarray) -> np.ndarray:
-    Q, _ = np.linalg.qr(A)
-    return Q
 
 
 # ---------------------------------------------------------------------------
 # L = 1 baseline (single dominant entry).
 # ---------------------------------------------------------------------------
 
-def build_symbol_rank1(b, params: CodecParams) -> GrassmannSymbol:
+def build_symbol_rank1(b, params: CodecParams) -> np.ndarray:
     b = np.asarray(b, dtype=np.uint8)
     if params.L != 1 or b.shape != (params.ell,):
         raise ValueError("params/payload mismatch for rank-1 symbol")
@@ -339,26 +329,20 @@ def build_symbol_rank1(b, params: CodecParams) -> GrassmannSymbol:
     rest = [i for i in range(T) if i != p]
     x[rest, 0] = a
     x /= np.linalg.norm(x)
-    return GrassmannSymbol(matrix=x, params=params)
+    return x
 
 
-def demap_symbol_rank1(xhat, params: CodecParams) -> tuple[np.ndarray, float]:
-    x = _matrix_of(xhat).reshape(-1)
-    if x.shape != (params.T,):
-        raise ValueError(f"estimate must have length {params.T}")
-    mags = np.abs(x)
-    p = int(np.argmax(mags))
-    if mags[p] == 0:
-        raise DemapFailure("zero symbol estimate")
+def demap_symbol_rank1(q: np.ndarray, params: CodecParams) -> tuple[np.ndarray, float]:
+    """Demap a unit-norm T x 1 estimate, as checked by :func:`demap_symbol`."""
+    x = q.reshape(-1)
+    p = int(np.argmax(np.abs(x)))
     if p >= (1 << params.ell1):
         raise DemapFailure(f"dominant index {p} outside the injection image")
     b1 = int_to_bits(p, params.ell1)
     a = np.delete(x, p) * (params.f / x[p])
     b2 = _bits_from_coords(a, params.part_lengths)
     bits = np.concatenate([b1, b2])
-    rebuilt = build_symbol_rank1(bits, params)
-    xn = x / np.linalg.norm(x)
     # Sine of the principal angle between the two lines (0 at a perfect match).
-    overlap = abs(np.vdot(xn, rebuilt.matrix.reshape(-1)))
+    overlap = abs(np.vdot(x, build_symbol_rank1(bits, params).reshape(-1)))
     confidence = -math.sqrt(max(0.0, 1.0 - overlap * overlap))
     return bits, confidence

@@ -24,6 +24,9 @@ class ConfigError(Exception):
     """Infeasible or inconsistent experiment configuration."""
 
 
+BOOL_SPELLINGS = {"1": True, "true": True, "yes": True, "on": True,
+                  "0": False, "false": False, "no": False, "off": False}
+
 CSV_HEADER = ["ebn0_db", "K", "G", "sc_iters", "trials", "pupe_mean",
               "pupe_ci95", "mean_solver_iters", "mean_runtime_ms", "seed"]
 
@@ -109,7 +112,11 @@ def _parse_value(key, raw, ftype):
     if key == "assumed_terms":
         return raw
     if "bool" in str(ftype):
-        return raw.lower() in ("1", "true", "yes", "on")
+        spelling = raw.lower()
+        if spelling not in BOOL_SPELLINGS:
+            raise ConfigError(f"{key} = {raw!r} is not a boolean "
+                              f"(one of {', '.join(sorted(BOOL_SPELLINGS))})")
+        return BOOL_SPELLINGS[spelling]
     if "int" in str(ftype):
         return int(raw)
     if "float" in str(ftype):
@@ -119,13 +126,17 @@ def _parse_value(key, raw, ftype):
 
 def build_components(cfg: ExperimentConfig):
     """Validate the config and construct codec params and the outer code."""
-    if cfg.workers < 1:
-        raise ConfigError(f"workers = {cfg.workers} must be >= 1")
+    for name, least in (("workers", 1), ("groups", 1), ("trials", 0), ("seed", 0),
+                        ("symbol_energy", 0), ("max_iterations", 0)):
+        if getattr(cfg, name) < least:
+            raise ConfigError(f"{name} = {getattr(cfg, name)} must be >= {least}")
+    if not cfg.k_list or min(cfg.k_list) < 1:
+        raise ConfigError(f"k_list = {cfg.k_list} must hold at least one K >= 1")
     if cfg.b1 + cfg.b2 != cfg.b_bch:
         raise ConfigError(f"b1 + b2 = {cfg.b1 + cfg.b2} must equal b_bch = {cfg.b_bch}")
     try:
-        params1 = codec.CodecParams.create(cfg.t1, cfg.l, cfg.b1, f=cfg.f)
-        params2 = codec.CodecParams.create(cfg.t2, cfg.l, cfg.b2, f=cfg.f)
+        params1 = codec.CodecParams(cfg.t1, cfg.l, cfg.b1, f=cfg.f)
+        params2 = codec.CodecParams(cfg.t2, cfg.l, cfg.b2, f=cfg.f)
     except ValueError as exc:
         raise ConfigError(f"infeasible bit budget: {exc}") from exc
     outer = None

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import blas, codec
 from .outer_code import OuterCode
-from .solver import (SolveResult, SolverConfig, SolverFailure, gndl_fit,
-                     orthonormal_factors)
+from .solver import SolveResult, SolverConfig, SolverFailure, gndl_fit
 from .tensor_core import BTDModel, BlockTerm, frobenius
 
 
@@ -123,9 +122,8 @@ def _demap_terms(result: SolveResult, params1, params2, outer, rx_cfg,
             continue
         diag.terms_kept += 1
         try:
-            Aon, Bon = orthonormal_factors(term)
-            bits_a, _ = codec.demap_symbol(Aon, params1)
-            bits_b, _ = codec.demap_symbol(Bon, params2)
+            bits_a, _ = codec.demap_symbol(term.A, params1)
+            bits_b, _ = codec.demap_symbol(term.B, params2)
         except codec.DemapFailure:
             diag.demap_failures += 1
             continue
@@ -162,8 +160,8 @@ def demodulate(Y: np.ndarray, params1: codec.CodecParams, params2: codec.CodecPa
 def _reencode_symbols(message: str, params1, params2, outer) -> np.ndarray:
     payload = message_to_bits(message)
     coded = outer.encode(payload) if outer is not None else payload
-    A = codec.build_symbol(coded[:params1.ell], params1).matrix
-    B = codec.build_symbol(coded[params1.ell:], params2).matrix
+    A = codec.build_symbol(coded[:params1.ell], params1)
+    B = codec.build_symbol(coded[params1.ell:], params2)
     return A @ B.T
 
 

@@ -321,14 +321,6 @@ def init_random(dims, K: int, L: int, seed) -> BTDModel:
     return BTDModel(terms=tuple(terms))
 
 
-def _term_unchecked(A, B, h) -> BlockTerm:
-    term = object.__new__(BlockTerm)
-    object.__setattr__(term, "A", A)
-    object.__setattr__(term, "B", B)
-    object.__setattr__(term, "h", h)
-    return term
-
-
 def orthonormalize_term(term: BlockTerm) -> BlockTerm:
     """Canonical form: A, B get orthogonal columns of equal norm (the core's
     singular values and the channel magnitude split between the pair), h is
@@ -337,15 +329,10 @@ def orthonormalize_term(term: BlockTerm) -> BlockTerm:
     Qb, Rb = np.linalg.qr(term.B)
     U, S, Vh = np.linalg.svd(Ra @ Rb.T)
     hn = np.linalg.norm(term.h)
-    if hn == 0 or S[-1] < RANK_TOL * S[0]:
+    if hn == 0 or S[-1] <= RANK_TOL * S[0]:
         raise CanonicalizationFailure("rank-deficient block term")
     scale = np.sqrt(S * hn)
     return BlockTerm(A=(Qa @ U) * scale, B=(Qb @ Vh.T) * scale, h=term.h / hn)
-
-
-def orthonormal_factors(term: BlockTerm) -> tuple[np.ndarray, np.ndarray]:
-    """Column-orthonormal bases of the column spaces of A and B."""
-    return np.linalg.qr(term.A)[0], np.linalg.qr(term.B)[0]
 
 
 def gndl_fit(Y: np.ndarray, K: int, L: int, config: SolverConfig,
@@ -382,11 +369,12 @@ def gndl_fit(Y: np.ndarray, K: int, L: int, config: SolverConfig,
     terms = []
     undecodable = []
     for k, (A, B, h) in enumerate(zip(*_stacked(x, dims, K, L))):
+        term = BlockTerm(A=A, B=B, h=h)
         try:
-            terms.append(orthonormalize_term(_term_unchecked(A, B, h)))
+            term = orthonormalize_term(term)
         except CanonicalizationFailure:
             undecodable.append(k)
-            terms.append(_term_unchecked(A, B, h))
+        terms.append(term)
     return SolveResult(
         model=BTDModel(terms=tuple(terms)),
         relative_residual=res / y_norm,

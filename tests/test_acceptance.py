@@ -33,7 +33,7 @@ def subspace_distance(A1, A2):
 
 
 def test_01_codec_roundtrip_exhaustive():
-    params = codec.CodecParams.create(4, 2, 10)
+    params = codec.CodecParams(4, 2, 10)
     start = time.perf_counter()
     failures = 0
     for v in range(1 << 10):
@@ -47,12 +47,12 @@ def test_01_codec_roundtrip_exhaustive():
 
 
 def test_02_rotation_scale_invariance():
-    params = codec.CodecParams.create(30, 2, 124)
+    params = codec.CodecParams(30, 2, 124)
     rng = np.random.default_rng(2024)
     failures = 0
     for _ in range(1000):
         bits = rng.integers(0, 2, 124).astype(np.uint8)
-        U = codec.build_symbol(bits, params).matrix
+        U = codec.build_symbol(bits, params)
         R = random_unitary(rng, 2)
         c = (rng.standard_normal() + 1j * rng.standard_normal())
         if abs(c) < 1e-3:
@@ -127,8 +127,8 @@ def test_05_uniqueness_bound_and_dof():
 
 
 def _desk_setup():
-    p1 = codec.CodecParams.create(10, 2, 37)
-    p2 = codec.CodecParams.create(8, 2, 28)
+    p1 = codec.CodecParams(10, 2, 37)
+    p2 = codec.CodecParams(8, 2, 28)
     outer = OuterCode.from_lengths(65, 20, m=9, t=5)
     return p1, p2, outer
 

@@ -46,8 +46,8 @@ class TestNoiseSigma:
 
 class TestTransmit:
     def setup_method(self):
-        self.p1 = codec.CodecParams.create(6, 2, 12)
-        self.p2 = codec.CodecParams.create(5, 2, 10)
+        self.p1 = codec.CodecParams(6, 2, 12)
+        self.p2 = codec.CodecParams(5, 2, 10)
         self.config = channel.ChannelConfig(
             n_antennas=4, n_users=2, ebn0_db=20.0, symbol_energy=30.0)
 

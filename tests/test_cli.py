@@ -50,6 +50,28 @@ class TestEncodeDecode:
         assert code == 0
         assert out.strip() == "2b"
 
+    @pytest.mark.parametrize("case,t,want", [
+        ("zero", 5, cli.EXIT_SOLVER),
+        ("nan", 5, cli.EXIT_CONFIG),
+        ("rank1", 5, cli.EXIT_SOLVER),
+        ("three_columns", 5, cli.EXIT_CONFIG),
+        ("wrong_t", 6, cli.EXIT_CONFIG),
+    ])
+    def test_decode_rejects_bad_matrix(self, capsys, tmp_path, case, t, want):
+        M = np.random.default_rng(7).standard_normal((5, 3 if case == "three_columns" else 2))
+        if case == "zero":
+            M[:] = 0.0
+        elif case == "nan":
+            M[1, 0] = np.nan
+        elif case == "rank1":
+            M[:, 1] = M[:, 0]
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("".join(",".join(str(complex(z)) for z in row) + "\n" for row in M))
+        code, out, err = run(["decode", "--t", str(t), "--l", "2", "--ell", "8",
+                              "--matrix", str(matrix)], capsys)
+        assert code == want
+        assert out == "" and err
+
     def test_encode_rejects_oversized_hex(self, capsys):
         code, _, err = run(["encode", "--t", "8", "--l", "2",
                             "--bits", "fff", "--ell", "8"], capsys)
@@ -91,6 +113,11 @@ class TestSimulate:
     def test_malformed_set(self, capsys):
         code, _, err = run(["simulate", "--set", "trials"], capsys)
         assert code == cli.EXIT_CONFIG
+
+    def test_invalid_field_is_config_error(self, capsys):
+        code, out, err = run(["simulate", "--set", "groups=0"], capsys)
+        assert code == cli.EXIT_CONFIG
+        assert out == "" and "groups" in err
 
     def test_infeasible_config(self, capsys):
         code, _, err = run(["simulate", "--set", "b1=36"], capsys)

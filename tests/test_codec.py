@@ -42,7 +42,13 @@ class TestBitBudget:
 
     def test_bad_f(self):
         with pytest.raises(ValueError):
-            codec.CodecParams.create(4, 2, 10, f=1.2)
+            codec.CodecParams(4, 2, 10, f=1.2)
+
+    def test_params_derive_the_budget(self):
+        params = codec.CodecParams(30, 2, 124)
+        assert (params.ell1, params.ell2, params.part_lengths) == codec.bit_budget(30, 2, 124)
+        with pytest.raises(TypeError):
+            codec.CodecParams(30, 2, 124, ell1=8)
 
 
 class TestPairInjection:
@@ -121,9 +127,9 @@ class TestCubeSplit:
 
 class TestBuildSymbol:
     def test_t4_all_zero_coordinates(self):
-        params = codec.CodecParams.create(4, 2, 10)
+        params = codec.CodecParams(4, 2, 10)
         b = np.zeros(10, dtype=np.uint8)  # pair index 0 -> (1, 2)
-        U = codec.build_symbol(b, params).matrix
+        U = codec.build_symbol(b, params)
         # Rows 3, 4 hold the (0,0)-cell scalar in both columns (oracle below).
         alpha = codec.cube_split_scalar(0, 0, 1, 1)
         i_p = np.conj(alpha) * alpha * 2
@@ -134,22 +140,22 @@ class TestBuildSymbol:
         assert np.linalg.norm(U.conj().T @ U - np.eye(2)) <= 1e-10
 
     def test_unitarity_random_payloads(self, rng):
-        params = codec.CodecParams.create(7, 2, 16)
+        params = codec.CodecParams(7, 2, 16)
         for _ in range(50):
             b = rng.integers(0, 2, 16).astype(np.uint8)
-            U = codec.build_symbol(b, params).matrix
+            U = codec.build_symbol(b, params)
             assert np.linalg.norm(U.conj().T @ U - np.eye(2)) <= 1e-10
 
     def test_full_scale_shape(self, rng):
-        params = codec.CodecParams.create(30, 2, 124)
+        params = codec.CodecParams(30, 2, 124)
         b = rng.integers(0, 2, 124).astype(np.uint8)
-        assert codec.build_symbol(b, params).matrix.shape == (30, 2)
+        assert codec.build_symbol(b, params).shape == (30, 2)
 
     def test_dominance_margin(self, rng):
-        params = codec.CodecParams.create(6, 2, 12)
+        params = codec.CodecParams(6, 2, 12)
         for _ in range(50):
             b = rng.integers(0, 2, 12).astype(np.uint8)
-            U = codec.build_symbol(b, params).matrix
+            U = codec.build_symbol(b, params)
             p, q = codec.pair_from_bits(b[:params.ell1], 6)
             norms = np.sum(np.abs(U) ** 2, axis=1)
             dom = {p - 1, q - 1}
@@ -157,9 +163,9 @@ class TestBuildSymbol:
                 norms[i] for i in range(6) if i not in dom)
 
     def test_column_orthogonality(self, rng):
-        params = codec.CodecParams.create(8, 2, 20)
+        params = codec.CodecParams(8, 2, 20)
         b = rng.integers(0, 2, 20).astype(np.uint8)
-        U = codec.build_symbol(b, params).matrix
+        U = codec.build_symbol(b, params)
         assert abs(np.vdot(U[:, 0], U[:, 1])) <= 1e-14
 
 
@@ -209,19 +215,19 @@ class TestCellPoint:
 
 class TestDetectDominantPair:
     def test_constructed_symbol(self, rng):
-        params = codec.CodecParams.create(6, 2, 12)
+        params = codec.CodecParams(6, 2, 12)
         idx = codec.pair_index(2, 5, 6)
         b = np.concatenate([codec.int_to_bits(idx, params.ell1),
                             rng.integers(0, 2, params.ell2).astype(np.uint8)])
-        U = codec.build_symbol(b, params).matrix
+        U = codec.build_symbol(b, params)
         assert codec.detect_dominant_pair(U) == (2, 5)
 
     def test_rotation_scale_invariance(self, rng):
-        params = codec.CodecParams.create(6, 2, 12)
+        params = codec.CodecParams(6, 2, 12)
         idx = codec.pair_index(2, 5, 6)
         b = np.concatenate([codec.int_to_bits(idx, params.ell1),
                             rng.integers(0, 2, params.ell2).astype(np.uint8)])
-        U = codec.build_symbol(b, params).matrix
+        U = codec.build_symbol(b, params)
         for _ in range(100):
             R = random_unitary(rng, 2)
             c = 0.37 * np.exp(1j * rng.uniform(0, 2 * np.pi))
@@ -241,7 +247,7 @@ class TestDetectDominantPair:
 class TestDemapSymbol:
     @pytest.mark.parametrize("T,ell", [(4, 10), (10, 24), (30, 124)])
     def test_noiseless_roundtrip(self, rng, T, ell):
-        params = codec.CodecParams.create(T, 2, ell)
+        params = codec.CodecParams(T, 2, ell)
         for _ in range(20):
             b = rng.integers(0, 2, ell).astype(np.uint8)
             bits, conf = codec.demap_symbol(codec.build_symbol(b, params), params)
@@ -249,28 +255,47 @@ class TestDemapSymbol:
             assert conf == pytest.approx(0.0, abs=1e-6)
 
     def test_rotation_scale_invariance(self, rng):
-        params = codec.CodecParams.create(10, 2, 24)
+        # Any basis of the subspace demaps: a scaled, invertible but
+        # non-unitary right factor is passed as it is, without a QR.
+        params = codec.CodecParams(10, 2, 24)
         for _ in range(50):
             b = rng.integers(0, 2, 24).astype(np.uint8)
-            U = codec.build_symbol(b, params).matrix
-            R = random_unitary(rng, 2)
+            U = codec.build_symbol(b, params)
+            S = crandn(rng, 2, 2) + 2 * np.eye(2)
             c = rng.standard_normal() + 1j * rng.standard_normal()
-            Q = np.linalg.qr(c * U @ R)[0]
-            bits, _ = codec.demap_symbol(Q, params)
+            bits, conf = codec.demap_symbol(c * U @ S, params)
             np.testing.assert_array_equal(bits, b)
+            assert conf == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("L", [1, 2])
+    def test_malformed_estimate_raises(self, rng, L):
+        params = codec.CodecParams(6, L, 12)
+        nan = crandn(rng, 6, L)
+        nan[2, 0] = np.nan
+        for bad in (crandn(rng, 5, L), crandn(rng, 6, L + 1), nan):
+            with pytest.raises(ValueError):
+                codec.demap_symbol(bad, params)
+
+    def test_rank_deficient_estimate_is_demap_failure(self, rng):
+        params = codec.CodecParams(6, 2, 12)
+        for bad in (np.zeros((6, 2)), crandn(rng, 6, 1) @ np.ones((1, 2))):
+            with pytest.raises(codec.DemapFailure):
+                codec.demap_symbol(bad, params)
+        with pytest.raises(codec.DemapFailure):
+            codec.demap_symbol(np.zeros((6, 1)), codec.CodecParams(6, 1, 12))
 
     def test_zero_w_gives_zero_inner_product(self):
         assert codec.solve_pilot_inner_product(np.zeros((3, 2)), 2.0) == 0j
 
     def test_exhaustive_small(self):
-        params = codec.CodecParams.create(4, 2, 10)
+        params = codec.CodecParams(4, 2, 10)
         for v in range(1 << 10):
             b = codec.int_to_bits(v, 10)
             bits, _ = codec.demap_symbol(codec.build_symbol(b, params), params)
             np.testing.assert_array_equal(bits, b)
 
     def test_distinct_payloads_have_positive_distance(self, rng):
-        params = codec.CodecParams.create(6, 2, 12)
+        params = codec.CodecParams(6, 2, 12)
         for _ in range(50):
             b1 = rng.integers(0, 2, 12).astype(np.uint8)
             b2 = rng.integers(0, 2, 12).astype(np.uint8)
@@ -283,7 +308,7 @@ class TestDemapSymbol:
 
 class TestRank1:
     def test_roundtrip(self, rng):
-        params = codec.CodecParams.create(8, 1, 10)
+        params = codec.CodecParams(8, 1, 10)
         assert params.ell1 == 3
         for _ in range(50):
             b = rng.integers(0, 2, 10).astype(np.uint8)
@@ -291,16 +316,18 @@ class TestRank1:
             np.testing.assert_array_equal(bits, b)
 
     def test_phase_rotation_invariance(self, rng):
-        params = codec.CodecParams.create(8, 1, 10)
+        params = codec.CodecParams(8, 1, 10)
         for _ in range(50):
             b = rng.integers(0, 2, 10).astype(np.uint8)
-            x = codec.build_symbol(b, params).matrix
-            c = np.exp(1j * rng.uniform(0, 2 * np.pi))
-            bits, _ = codec.demap_symbol(c * x, params)
+            x = codec.build_symbol(b, params)
+            # Any nonzero complex scale, not only a phase: the 1 x 1 right factor.
+            c = rng.standard_normal() + 1j * rng.standard_normal()
+            bits, conf = codec.demap_symbol(c * x, params)
             np.testing.assert_array_equal(bits, b)
+            assert conf == pytest.approx(0.0, abs=1e-6)
 
     def test_dominant_index_outside_image(self):
-        params = codec.CodecParams.create(5, 1, 6)  # ell1 = 2, indices 0..3
+        params = codec.CodecParams(5, 1, 6)  # ell1 = 2, indices 0..3
         x = np.zeros((5, 1), dtype=complex)
         x[4, 0] = 1.0
         with pytest.raises(codec.DemapFailure):

@@ -86,6 +86,15 @@ class TestBuildComponents:
         with pytest.raises(harness.ConfigError):
             harness.build_components(desk_config(workers=0))
 
+    @pytest.mark.parametrize("key,raw", [
+        ("groups", "0"), ("trials", "-1"), ("k_list", "0"), ("k_list", ""),
+        ("symbol_energy", "-1"), ("seed", "-1"), ("max_iterations", "-1"),
+        ("strict", "treu"),
+    ])
+    def test_invalid_value_is_config_error(self, key, raw):
+        with pytest.raises(harness.ConfigError, match=key):
+            harness.build_components(harness.config_from_mapping({key: raw}))
+
     def test_assumed_terms(self):
         for good in ("known", "bound", "3"):
             harness.build_components(desk_config(assumed_terms=good))

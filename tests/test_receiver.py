@@ -16,8 +16,8 @@ from conftest import crandn
 # Small desk setup used throughout: T1=6, T2=5, L=2, B0=10, coded 22 bits
 # via the unshortened-equivalent BCH shortened from (15, 7)... too small for
 # 22 coded bits, so these tests run without an outer code unless stated.
-P1 = codec.CodecParams.create(6, 2, 12)
-P2 = codec.CodecParams.create(5, 2, 10)
+P1 = codec.CodecParams(6, 2, 12)
+P2 = codec.CodecParams(5, 2, 10)
 SOLVER = SolverConfig(seed=0, restarts=3, max_iterations=200)
 
 
@@ -136,8 +136,8 @@ class TestDemodulate:
 class TestOuterCodeIntegration:
     # 65 coded bits via BCH(m=9, t=5) shortened to (65, 20): T1=10, T2=8,
     # payload 20 bits, symbols carry 37 + 28 coded bits.
-    p1 = codec.CodecParams.create(10, 2, 37)
-    p2 = codec.CodecParams.create(8, 2, 28)
+    p1 = codec.CodecParams(10, 2, 37)
+    p2 = codec.CodecParams(8, 2, 28)
     outer = OuterCode.from_lengths(65, 20, m=9, t=5)
 
     def make(self, seed, K, ebn0_db=40.0):

@@ -260,6 +260,17 @@ class TestFit:
                               init=model)
         assert res.converged and res.iterations <= 3
 
+    def test_rank_deficient_term_is_undecodable(self, rng):
+        # A rank-deficient term is kept as fitted and reported, not canonicalised.
+        model = random_model(rng, dims=(6, 5, 4), K=3)
+        a = crandn(rng, 6, 1)
+        bad = tc.BlockTerm(A=np.hstack([a, a]), B=crandn(rng, 5, 2), h=crandn(rng, 4))
+        init = tc.BTDModel(terms=(model.terms[0], bad, model.terms[2]))
+        cfg = solver.SolverConfig(restarts=1, max_iterations=0)
+        res = solver.gndl_fit(tc.synthesize_received(model), 3, 2, cfg, init=init)
+        assert res.undecodable == (1,)
+        np.testing.assert_array_equal(res.model.terms[1].A, bad.A)
+
     def test_input_validation(self, rng):
         cfg = solver.SolverConfig()
         with pytest.raises(ValueError):
@@ -346,18 +357,12 @@ class TestCanonicalization:
         np.testing.assert_allclose(np.abs(c1.A), np.abs(c2.A), atol=1e-9)
         np.testing.assert_allclose(np.linalg.norm(c1.h), np.linalg.norm(c2.h))
 
-    def test_orthonormal_factors(self, rng):
-        term = tc.BlockTerm(A=crandn(rng, 5, 2), B=crandn(rng, 4, 2), h=crandn(rng, 3))
-        Qa, Qb = solver.orthonormal_factors(term)
-        np.testing.assert_allclose(Qa.conj().T @ Qa, np.eye(2), atol=1e-12)
-        assert subspace_gap(Qa, term.A) <= 1e-7
-
     def test_rank_deficient_raises(self, rng):
         a = crandn(rng, 5, 1)
-        term = solver._term_unchecked(np.hstack([a, a]), crandn(rng, 4, 2),
-                                      crandn(rng, 3))
-        with pytest.raises(solver.CanonicalizationFailure):
-            solver.orthonormalize_term(term)
+        for A in (np.hstack([a, a]), np.zeros((5, 2))):
+            term = tc.BlockTerm(A=A, B=crandn(rng, 4, 2), h=crandn(rng, 3))
+            with pytest.raises(solver.CanonicalizationFailure):
+                solver.orthonormalize_term(term)
 
 
 class TestInitRandom:

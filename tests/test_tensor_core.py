@@ -91,11 +91,6 @@ class TestInvariants:
 
 
 class TestValidation:
-    def test_rank_deficient_factor_rejected(self, rng):
-        A = crandn(rng, 4, 1) @ np.ones((1, 2))  # rank 1, two columns
-        with pytest.raises(ValueError):
-            tc.BlockTerm(A=A, B=crandn(rng, 3, 2), h=crandn(rng, 2))
-
     def test_l_bound(self, rng):
         with pytest.raises(ValueError):
             tc.BlockTerm(A=crandn(rng, 2, 2), B=crandn(rng, 3, 2), h=crandn(rng, 2))
