@@ -58,8 +58,8 @@ OPENBLAS = _lookup_openblas()
 def pin_to_one_thread():
     """Run numpy's OpenBLAS on one thread in this process from now on.
 
-    Called at the start of every fit and before the group process pool is
-    created; never undone. The count is set only when it differs from 1:
+    Called at the start of every fit, so before the solver's restart pool is
+    forked; never undone. The count is set only when it differs from 1:
     OpenBLAS stops its threads when the process forks, and the next set call
     in either process starts new ones, which busy-wait for about 0.1 s of CPU
     before they sleep. Pool workers forked from the pinned parent therefore

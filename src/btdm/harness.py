@@ -56,7 +56,7 @@ class ExperimentConfig:
     seed: int = 0
     max_iterations: int = 500
     restarts: int = 5
-    workers: int = 1               # processes for a trial's user groups
+    workers: int = 1               # processes for a fit's restarts
     strict: bool = False           # fail the run on solver failures
 
     @property

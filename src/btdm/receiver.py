@@ -3,7 +3,7 @@
 Fit a block-term decomposition to the received tensor, canonicalize and demap
 each surviving term, validate with the outer code, and report the decoded
 message set.  Optional successive cancellation subtracts validated users and
-re-decomposes the residual; user groups demodulate independently in parallel.
+re-decomposes the residual; user groups demodulate independently, in turn.
 
 Messages are represented as '0'/'1' strings so that sets of payloads are
 hashable and trivially reversible to bit arrays.
@@ -11,13 +11,12 @@ hashable and trivially reversible to bit arrays.
 
 from __future__ import annotations
 
-import concurrent.futures
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import blas, codec
+from . import codec
 from .outer_code import OuterCode
 from .solver import SolveResult, SolverConfig, SolverFailure, gndl_fit
 from .tensor_core import BTDModel, BlockTerm, frobenius
@@ -210,30 +209,16 @@ def successive_cancellation(Y: np.ndarray, params1, params2,
     return found, sc_diag
 
 
-def _group_worker(job):
-    return successive_cancellation(*job)
-
-
 def demodulate_groups(Y_list, params1, params2, outer, rx_cfgs,
                       solver_cfg: SolverConfig, max_workers: int = 1
                       ) -> tuple[set[str], list[ScDiagnostics]]:
     """Union of per-group demodulation, and each group's ScDiagnostics.
 
-    Group g is decoded with rx_cfgs[g]. Groups run in this process when
-    max_workers <= 1 or there is one group, otherwise in a process pool whose
-    workers run BLAS single-threaded. An exception in any group propagates.
+    Group g is decoded with rx_cfgs[g], in this process and in order. Every
+    fit runs its restarts on max_workers processes (SolverConfig.workers).
+    An exception in any group propagates.
     """
-    jobs = [(Y, params1, params2, outer, rx_cfg, solver_cfg)
-            for Y, rx_cfg in zip(Y_list, rx_cfgs, strict=True)]
-    if max_workers <= 1 or len(jobs) <= 1:
-        results = [_group_worker(j) for j in jobs]
-    else:
-        # Workers forked from the pinned parent inherit one BLAS thread.
-        blas.pin_to_one_thread()
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(max_workers, len(jobs))) as pool:
-            results = list(pool.map(_group_worker, jobs))
-    union: set[str] = set()
-    for messages, _ in results:
-        union |= messages
-    return union, [sc_diag for _, sc_diag in results]
+    solver_cfg = replace(solver_cfg, workers=max_workers)
+    results = [successive_cancellation(Y, params1, params2, outer, rx_cfg, solver_cfg)
+               for Y, rx_cfg in zip(Y_list, rx_cfgs, strict=True)]
+    return set().union(*(m for m, _ in results)), [sc_diag for _, sc_diag in results]

@@ -18,6 +18,8 @@ step of its point (:class:`_Dogleg`).
 
 from __future__ import annotations
 
+import atexit
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +52,13 @@ class SolverConfig:
     max_iterations: int = 500
     restarts: int = 5
     seed: int = 0
+    workers: int = 1               # processes that run the restarts' descents
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,7 @@ class SolveResult:
     restart_index: int
     residual_history: tuple[float, ...] = ()
     undecodable: tuple[int, ...] = ()
+    restart_iterations: tuple[int, ...] = ()   # of every restart that ran, in order
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +341,51 @@ def orthonormalize_term(term: BlockTerm) -> BlockTerm:
     return BlockTerm(A=(Qa @ U) * scale, B=(Qb @ Vh.T) * scale, h=term.h / hn)
 
 
+_pool = None   # (workers, ProcessPoolExecutor) once a pooled fit has needed one
+
+
+@atexit.register
+def shutdown_pool() -> None:
+    """Stop the restart pool's workers; the next pooled fit starts new ones."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown(cancel_futures=True)
+        _pool = None
+
+
+def _start_worker(count, cpus):
+    """Pool initializer: one BLAS thread, and each worker on the next usable CPU
+    (left to the scheduler, workers woken through their pipes can share one)."""
+    blas.pin_to_one_thread()
+    with count.get_lock():
+        count.value += 1
+        if cpus:
+            os.sched_setaffinity(0, {cpus[(count.value - 1) % len(cpus)]})
+
+
+def _descents(jobs, workers: int):
+    """_run_gndl(*job) for each job, in order. With workers > 1 and several
+    jobs they run in the restart pool, forked after gndl_fit pins BLAS and
+    rebuilt when workers changes or a worker dies; closing cancels the rest."""
+    if workers == 1 or len(jobs) < 2:
+        yield from (_run_gndl(*job) for job in jobs)
+        return
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    from multiprocessing import Value
+    global _pool
+    if _pool is not None and _pool[0] != workers:
+        shutdown_pool()
+    if _pool is None:
+        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+        _pool = workers, ProcessPoolExecutor(workers, initializer=_start_worker,
+                                             initargs=(Value("i", 0), cpus))
+    try:
+        yield from _pool[1].map(_run_gndl, *zip(*jobs))
+    except BrokenProcessPool:
+        shutdown_pool()
+        raise
+
+
 def gndl_fit(Y: np.ndarray, K: int, L: int, config: SolverConfig,
              init: BTDModel | None = None) -> SolveResult:
     """Best-of-restarts GN-dogleg fit of K rank-(L,L,1) terms to Y."""
@@ -348,14 +399,16 @@ def gndl_fit(Y: np.ndarray, K: int, L: int, config: SolverConfig,
     y_vec = Y.ravel(order="F")
     y_norm = max(float(np.linalg.norm(y_vec)), 1e-300)
 
+    models = [] if init is None else [init]
+    models += [init_random(dims, K, L, seed=(config.seed, restart))
+               for restart in range(len(models), config.restarts)]
+    jobs = [(y_vec, dims, K, L, pack_factors([(t.A, t.B, t.h) for t in m.terms]), config)
+            for m in models]
     best = None
-    for restart in range(config.restarts):
-        if init is not None and restart == 0:
-            model0 = init
-        else:
-            model0 = init_random(dims, K, L, seed=(config.seed, restart))
-        x0 = pack_factors([(t.A, t.B, t.h) for t in model0.terms])
-        x, res, iters, converged, history = _run_gndl(y_vec, dims, K, L, x0, config)
+    restart_iterations = []
+    for restart, (x, res, iters, converged, history) in enumerate(
+            _descents(jobs, config.workers)):
+        restart_iterations.append(iters)
         if not np.isfinite(res):
             continue
         if best is None or res < best[1]:
@@ -383,6 +436,7 @@ def gndl_fit(Y: np.ndarray, K: int, L: int, config: SolverConfig,
         restart_index=restart,
         residual_history=tuple(history),
         undecodable=tuple(undecodable),
+        restart_iterations=tuple(restart_iterations),
     )
 
 

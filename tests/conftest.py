@@ -1,5 +1,18 @@
+import multiprocessing
+
 import numpy as np
 import pytest
+
+from btdm import solver
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_process_left_behind():
+    """At the end of the session, stop the restart pool and require that no
+    child process is left running."""
+    yield
+    solver.shutdown_pool()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture

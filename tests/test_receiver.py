@@ -221,6 +221,17 @@ class TestGroups:
         assert decoded == sent
         assert len(diags) == len(ys)
 
+    def test_pool_is_kept_across_calls(self):
+        ys, sent = self.payload_sets()
+        rx = receiver.ReceiverConfig(assumed_terms=2)
+        pids = []
+        for _ in range(2):
+            decoded, _ = receiver.demodulate_groups(
+                ys, P1, P2, None, [rx] * len(ys), SOLVER, max_workers=2)
+            assert decoded == sent
+            pids.append({p.pid for p in multiprocessing.active_children()})
+        assert len(pids[0]) == 2 and pids[1] == pids[0]
+
     def test_group_order_irrelevant(self):
         ys, _ = self.payload_sets()
         rx = receiver.ReceiverConfig(assumed_terms=2)
@@ -248,6 +259,12 @@ def _worker_blas_threads(_):
     return blas.OPENBLAS[1]()
 
 
+def _os_threads_descent(y_vec, dims, K, L, x0, config):
+    # In place of a descent: the start point, with the worker's OS thread
+    # count as its iteration count.
+    return x0, 1.0, len(os.listdir("/proc/self/task")), False, [1.0]
+
+
 @pytest.mark.skipif(blas.OPENBLAS is None, reason="numpy's BLAS is not OpenBLAS")
 class TestBlasPinning:
     @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
@@ -268,25 +285,21 @@ class TestBlasPinning:
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork"
                         or not os.path.isdir("/proc/self/task"),
                         reason="needs forked workers and /proc/self/task")
-    def test_group_workers_start_no_blas_thread(self, monkeypatch):
+    def test_restart_workers_start_no_blas_thread(self, monkeypatch, rng):
         # A worker that calls the OpenBLAS setter restarts its thread pool,
         # whose new thread busy-waits beside the worker's own work.
-        def os_threads(*_):
-            blas.pin_to_one_thread()   # as every fit does
-            return {str(len(os.listdir("/proc/self/task")))}, receiver.ScDiagnostics()
-
-        monkeypatch.setattr(receiver, "successive_cancellation", os_threads)
+        solver.shutdown_pool()
+        monkeypatch.setattr(solver, "_run_gndl", _os_threads_descent)
         set_threads, get_threads = blas.OPENBLAS
         parent = get_threads()
         set_threads(max(parent, 2))
         try:
-            ys = [np.zeros((6, 5, 4))] * 2
-            rx = receiver.ReceiverConfig(assumed_terms=1)
-            counts, _ = receiver.demodulate_groups(ys, P1, P2, None, [rx] * 2, SOLVER,
-                                                   max_workers=2)
+            res = solver.gndl_fit(crandn(rng, 4, 3, 2), 1, 2,
+                                  SolverConfig(restarts=2, max_iterations=3, workers=2))
         finally:
             set_threads(parent)
-        assert counts == {"1"}
+            solver.shutdown_pool()   # its workers were forked with the stand-in
+        assert set(res.restart_iterations) == {1}
 
     def test_pooled_decode_leaves_parent_pinned_and_quiet(self):
         # OpenBLAS stops its threads at a fork. A set call in the parent

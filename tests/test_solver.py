@@ -1,4 +1,12 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,6 +287,162 @@ class TestFit:
             solver.gndl_fit(crandn(rng, 4, 3, 2), 0, 2, cfg)
         with pytest.raises(ValueError):
             solver.SolverConfig(restarts=0)
+
+
+    def test_restart_iterations(self, rng):
+        model = random_model(rng, dims=(6, 5, 4), K=2)
+        Y = tc.synthesize_received(model) + 0.05 * crandn(rng, 6, 5, 4)
+        res = solver.gndl_fit(Y, 2, 2, solver.SolverConfig(seed=2, restarts=3,
+                                                           max_iterations=60))
+        assert len(res.restart_iterations) == 3
+        assert res.restart_iterations[res.restart_index] == res.iterations
+
+
+# Stand-ins for _run_gndl in pool workers. A worker finds them by name, so
+# they live at module level.
+def _raising_descent(*_):
+    raise FloatingPointError("descent failed in a worker")
+
+
+def _dying_descent(*_):
+    os._exit(3)
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestRestartPool:
+    @staticmethod
+    def noisy_desk():
+        rng = np.random.default_rng(21)
+        model = random_model(rng, dims=(10, 8, 8), K=4)
+        return model, tc.synthesize_received(model) + 0.3 * crandn(rng, 10, 8, 8)
+
+    @staticmethod
+    def fits(Y, K, cfg, init=None):
+        """The in-process fit and the pooled fit, with two workers."""
+        return (solver.gndl_fit(Y, K, 2, cfg, init=init),
+                solver.gndl_fit(Y, K, 2, replace(cfg, workers=2), init=init))
+
+    @staticmethod
+    def assert_same(r1, r2):
+        for name in ("relative_residual", "iterations", "converged", "restart_index",
+                     "residual_history", "undecodable", "restart_iterations"):
+            assert getattr(r1, name) == getattr(r2, name), name
+        for t1, t2 in zip(r1.model.terms, r2.model.terms, strict=True):
+            assert np.array_equal(t1.A, t2.A)
+            assert np.array_equal(t1.B, t2.B)
+            assert np.array_equal(t1.h, t2.h)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["random", "init"])
+    def test_pooled_fit_equals_in_process(self, warm):
+        model, Y = self.noisy_desk()
+        init = None
+        if warm:
+            rng = np.random.default_rng(5)
+            init = tc.BTDModel(terms=tuple(
+                tc.BlockTerm(A=t.A + 0.3 * crandn(rng, *t.A.shape), B=t.B, h=t.h)
+                for t in model.terms))
+        r1, r2 = self.fits(Y, 4, solver.SolverConfig(seed=3, restarts=5, max_iterations=80),
+                           init=init)
+        assert len(r1.restart_iterations) == 5
+        self.assert_same(r1, r2)
+
+    def test_early_stop_picks_the_same_restart(self):
+        # Noise-free: restart 2 runs to its cap and restart 3 is the first exact fit.
+        Y = tc.synthesize_received(random_model(np.random.default_rng(24), dims=(6, 5, 4), K=4))
+        r1, r2 = self.fits(Y, 4, solver.SolverConfig(seed=24, restarts=5, max_iterations=100))
+        assert r1.restart_index == 3 and r1.restart_iterations == (36, 31, 100, 22)
+        self.assert_same(r1, r2)
+
+    def test_workers_are_reused(self):
+        _, Y = self.noisy_desk()
+        cfg = solver.SolverConfig(restarts=2, max_iterations=5, workers=2)
+        solver.gndl_fit(Y, 4, 2, cfg)
+        first = {p.pid for p in multiprocessing.active_children()}
+        solver.gndl_fit(Y, 4, 2, cfg)
+        assert len(first) == 2
+        assert {p.pid for p in multiprocessing.active_children()} == first
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                        reason="needs two usable CPUs")
+    def test_workers_spread_over_cpus(self):
+        _, Y = self.noisy_desk()
+        cpus = sorted(os.sched_getaffinity(0))
+        solver.shutdown_pool()
+        solver.gndl_fit(Y, 4, 2, solver.SolverConfig(restarts=2, max_iterations=5, workers=2))
+        workers = multiprocessing.active_children()
+        for _ in range(100):   # a worker that got no restart may still be starting
+            masks = [os.sched_getaffinity(w.pid) for w in workers]
+            if all(len(mask) == 1 for mask in masks):
+                break
+            time.sleep(0.05)
+        assert sorted(min(mask) for mask in masks) == cpus[:2]
+        assert os.sched_getaffinity(0) == set(cpus)
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        _, Y = self.noisy_desk()
+        cfg = solver.SolverConfig(restarts=2, max_iterations=5, workers=2)
+        # Fork the workers before the patch: a worker forked after it would
+        # keep the stand-in as its own _run_gndl.
+        solver.gndl_fit(Y, 4, 2, cfg)
+        monkeypatch.setattr(solver, "_run_gndl", _raising_descent)
+        with pytest.raises(FloatingPointError):
+            solver.gndl_fit(Y, 4, 2, cfg)
+        monkeypatch.undo()
+        assert np.isfinite(solver.gndl_fit(Y, 4, 2, cfg).relative_residual)
+
+    def test_dead_worker_breaks_one_fit_only(self, monkeypatch):
+        _, Y = self.noisy_desk()
+        cfg = solver.SolverConfig(restarts=2, max_iterations=5, workers=2)
+        solver.shutdown_pool()
+        monkeypatch.setattr(solver, "_run_gndl", _dying_descent)
+        with pytest.raises(BrokenProcessPool):
+            solver.gndl_fit(Y, 4, 2, cfg)
+        monkeypatch.undo()
+        assert np.isfinite(solver.gndl_fit(Y, 4, 2, cfg).relative_residual)
+
+    def test_workers_validated(self):
+        with pytest.raises(ValueError):
+            solver.SolverConfig(workers=0)
+
+    @staticmethod
+    def run_python(code):
+        src = str(Path(solver.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=10)
+
+    def test_in_process_fit_starts_no_pool(self):
+        done = self.run_python(
+            "import sys\n"
+            "import numpy as np\n"
+            "from btdm import solver\n"
+            "Y = np.random.default_rng(0).standard_normal((6, 5, 4)) + 0j\n"
+            "solver.gndl_fit(Y, 2, 2, solver.SolverConfig(restarts=2, max_iterations=5))\n"
+            "print('concurrent.futures.process' in sys.modules)\n")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
+
+    def test_process_exit_stops_the_pool(self):
+        code = ("import multiprocessing\n"
+                "import numpy as np\n"
+                "from btdm import solver\n"
+                "Y = np.random.default_rng(0).standard_normal((6, 5, 4)) + 0j\n"
+                "solver.gndl_fit(Y, 2, 2, solver.SolverConfig(restarts=2, max_iterations=5,"
+                " workers=2))\n"
+                "print(*(p.pid for p in multiprocessing.active_children()))\n")
+        done = self.run_python(code)
+        assert done.returncode == 0, done.stderr
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert len(pids) == 2
+        assert not any(_alive(pid) for pid in pids)
 
 
 class TestStepReuse:
