@@ -9,7 +9,7 @@ sweeps) and cli (command-line entry point).
 
 from .tensor_core import BTDModel, BlockTerm, synthesize_block_term, synthesize_received
 from .codec import CodecParams, DemapFailure, build_symbol, demap_symbol
-from .solver import SolverConfig, SolveResult, gndl_fit, cpd_fit
+from .solver import SolverConfig, SolveResult, gndl_fit
 from .outer_code import OuterCode, DecodeStatus
 from .channel import ChannelConfig, transmit, noise_sigma
 from .receiver import ReceiverConfig, demodulate, successive_cancellation, pupe, uniqueness_bound
@@ -18,7 +18,7 @@ from .harness import ExperimentConfig, run_monte_carlo
 __all__ = [
     "BTDModel", "BlockTerm", "synthesize_block_term", "synthesize_received",
     "CodecParams", "DemapFailure", "build_symbol", "demap_symbol",
-    "SolverConfig", "SolveResult", "gndl_fit", "cpd_fit",
+    "SolverConfig", "SolveResult", "gndl_fit",
     "OuterCode", "DecodeStatus",
     "ChannelConfig", "transmit", "noise_sigma",
     "ReceiverConfig", "demodulate", "successive_cancellation", "pupe", "uniqueness_bound",

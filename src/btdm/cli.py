@@ -67,11 +67,16 @@ def cmd_decode(args) -> int:
     finally:
         if source is not sys.stdin:
             source.close()
+    M = np.array(rows, dtype=np.complex128)
     try:
-        bits, confidence = codec.demap_symbol(np.array(rows, dtype=np.complex128), params)
+        bits = codec.demap_symbol(M, params)
     except codec.DemapFailure as exc:
         print(f"demap failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    # Minus the chordal distance from the input's column space to the
+    # re-encoded symbol's: 0 when the input is a basis of the symbol.
+    overlap = np.linalg.norm(np.linalg.qr(M)[0].conj().T @ codec.build_symbol(bits, params))
+    confidence = -np.sqrt(max(0.0, args.l - overlap ** 2))
     print(f"{codec.bits_to_int(bits):0{(len(bits) + 3) // 4}x}")
     print(f"confidence: {confidence:.6g}", file=sys.stderr)
     return EXIT_OK

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .tensor_core import RANK_TOL
-
-ORTHO_INPUT_TOL = 1e-8
+# demap_symbol's full-rank test: an estimate is rank deficient when the
+# smallest |diagonal of R| of its QR is at most RANK_TOL times the largest.
+RANK_TOL = 1e-10
 DET_TOL = 1e-12
 # Radial clamp for disc points pushed outside the unit circle by noise.
 CLAMP_RADIUS = 1.0 - 1e-9
@@ -245,26 +245,6 @@ def detect_dominant_pair(Mhat: np.ndarray) -> tuple[int, int]:
     return p, q
 
 
-def chordal_distance(M, N) -> float:
-    """d = sqrt(2 - |tr(M^H N N^H M)|) for column-orthonormal M, N."""
-    M, N = np.asarray(M, dtype=np.complex128), np.asarray(N, dtype=np.complex128)
-    for X, name in ((M, "M"), (N, "N")):
-        if np.linalg.norm(X.conj().T @ X - np.eye(X.shape[1])) > ORTHO_INPUT_TOL:
-            raise ValueError(f"{name} is not column-orthonormal")
-    t = abs(np.trace(M.conj().T @ N @ N.conj().T @ M))
-    return math.sqrt(max(0.0, 2.0 - t))
-
-
-def cell_point(p: int, q: int, T: int) -> np.ndarray:
-    """Region representative G^(p,q): ones at (p,1) and (q,2)."""
-    if not (1 <= p < q <= T):
-        raise ValueError(f"need 1 <= p < q <= T, got ({p}, {q})")
-    G = np.zeros((T, 2), dtype=np.complex128)
-    G[p - 1, 0] = 1.0
-    G[q - 1, 1] = 1.0
-    return G
-
-
 def solve_pilot_inner_product(W: np.ndarray, f: float) -> complex:
     """Closed-form solution of the one-variable linear equation for the
     coordinate-halves inner product: with C = W^H W,
@@ -273,16 +253,14 @@ def solve_pilot_inner_product(W: np.ndarray, f: float) -> complex:
     return complex(f * f * C[0, 1] / (1.0 + C[0, 0]))
 
 
-def demap_symbol(Ahat, params: CodecParams) -> tuple[np.ndarray, float]:
+def demap_symbol(Ahat, params: CodecParams) -> np.ndarray:
     """Recover the payload bits from any basis of the estimated subspace.
 
     Ahat is any T x L matrix whose columns span the estimate: the result is
     invariant to any invertible right factor, so a fitted factor is passed
-    as it is.  Returns (bits, confidence); confidence is the negated chordal
-    distance between the estimate and the re-encoded symbol.  Raises
-    ValueError for a wrongly shaped or non-finite input, and DemapFailure
-    when the estimate is rank deficient or cannot correspond to any
-    constellation point.
+    as it is.  Returns the payload bits.  Raises ValueError for a wrongly
+    shaped or non-finite input, and DemapFailure when the estimate is rank
+    deficient or cannot correspond to any constellation point.
     """
     A = np.asarray(Ahat, dtype=np.complex128)
     if A.shape != (params.T, params.L):
@@ -307,10 +285,7 @@ def demap_symbol(Ahat, params: CodecParams) -> tuple[np.ndarray, float]:
     i_p = solve_pilot_inner_product(W, f)
     A2_rec = W @ np.array([[f, -i_p / f], [0.0, f]], dtype=np.complex128)
     a = np.concatenate([A2_rec[:, 0], A2_rec[:, 1]])
-    b2 = _bits_from_coords(a, params.part_lengths)
-    bits = np.concatenate([b1, b2])
-    confidence = -chordal_distance(Q, build_symbol(bits, params))
-    return bits, confidence
+    return np.concatenate([b1, _bits_from_coords(a, params.part_lengths)])
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +307,7 @@ def build_symbol_rank1(b, params: CodecParams) -> np.ndarray:
     return x
 
 
-def demap_symbol_rank1(q: np.ndarray, params: CodecParams) -> tuple[np.ndarray, float]:
+def demap_symbol_rank1(q: np.ndarray, params: CodecParams) -> np.ndarray:
     """Demap a unit-norm T x 1 estimate, as checked by :func:`demap_symbol`."""
     x = q.reshape(-1)
     p = int(np.argmax(np.abs(x)))
@@ -340,9 +315,4 @@ def demap_symbol_rank1(q: np.ndarray, params: CodecParams) -> tuple[np.ndarray, 
         raise DemapFailure(f"dominant index {p} outside the injection image")
     b1 = int_to_bits(p, params.ell1)
     a = np.delete(x, p) * (params.f / x[p])
-    b2 = _bits_from_coords(a, params.part_lengths)
-    bits = np.concatenate([b1, b2])
-    # Sine of the principal angle between the two lines (0 at a perfect match).
-    overlap = abs(np.vdot(x, build_symbol_rank1(bits, params).reshape(-1)))
-    confidence = -math.sqrt(max(0.0, 1.0 - overlap * overlap))
-    return bits, confidence
+    return np.concatenate([b1, _bits_from_coords(a, params.part_lengths)])

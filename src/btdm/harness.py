@@ -27,10 +27,6 @@ class ConfigError(Exception):
 BOOL_SPELLINGS = {"1": True, "true": True, "yes": True, "on": True,
                   "0": False, "false": False, "no": False, "off": False}
 
-CSV_HEADER = ["ebn0_db", "K", "G", "sc_iters", "trials", "pupe_mean",
-              "pupe_ci95", "mean_solver_iters", "mean_runtime_ms", "seed"]
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     t1: int = 10
@@ -76,6 +72,9 @@ class ResultRow:
     mean_solver_iters: float
     mean_runtime_ms: float
     seed: int
+
+
+CSV_HEADER = [f.name for f in fields(ResultRow)]
 
 
 def parse_config_file(path: str) -> dict:

@@ -1,9 +1,10 @@
 """End-to-end demodulation pipeline.
 
-Fit a block-term decomposition to the received tensor, canonicalize and demap
-each surviving term, validate with the outer code, and report the decoded
-message set.  Optional successive cancellation subtracts validated users and
-re-decomposes the residual; user groups demodulate independently, in turn.
+Fit a block-term decomposition to the received tensor, demap each term above
+the power floor from its factors as fitted, validate with the outer code, and
+report the decoded message set.  Optional successive cancellation subtracts
+validated users and re-decomposes the residual; user groups demodulate
+independently, in turn.
 
 Messages are represented as '0'/'1' strings so that sets of payloads are
 hashable and trivially reversible to bit arrays.
@@ -19,7 +20,7 @@ import numpy as np
 from . import codec
 from .outer_code import OuterCode
 from .solver import SolveResult, SolverConfig, SolverFailure, gndl_fit
-from .tensor_core import BTDModel, BlockTerm, frobenius
+from .tensor_core import BlockTerm, frobenius
 
 
 @dataclass(frozen=True)
@@ -112,17 +113,14 @@ def _demap_terms(result: SolveResult, params1, params2, outer, rx_cfg,
                  y_energy: float, diag: DemodDiagnostics) -> set[str]:
     floor = rx_cfg.power_threshold * y_energy / rx_cfg.assumed_terms
     messages: set[str] = set()
-    for k, term in enumerate(result.model.terms):
-        if k in result.undecodable:
-            diag.demap_failures += 1
-            continue
-        if _term_energy(term) < floor:
+    for term in result.model.terms:
+        if _term_energy(term) <= floor:
             diag.power_discards += 1
             continue
         diag.terms_kept += 1
         try:
-            bits_a, _ = codec.demap_symbol(term.A, params1)
-            bits_b, _ = codec.demap_symbol(term.B, params2)
+            bits_a = codec.demap_symbol(term.A, params1)
+            bits_b = codec.demap_symbol(term.B, params2)
         except codec.DemapFailure:
             diag.demap_failures += 1
             continue

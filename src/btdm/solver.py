@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blas
-from .tensor_core import RANK_TOL, BTDModel, BlockTerm, check_finite
+from .tensor_core import BTDModel, BlockTerm, check_finite
 
 TIKHONOV = 1e-12
 # Trust region: the initial radius relative to max(1, ||x0||), its cap, and
@@ -41,10 +41,6 @@ GRAD_TOL = 1e-8
 
 class SolverFailure(Exception):
     """All restarts diverged (non-finite residual)."""
-
-
-class CanonicalizationFailure(Exception):
-    """A fitted factor is rank deficient; the term cannot be demapped."""
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,6 @@ class SolveResult:
     converged: bool
     restart_index: int
     residual_history: tuple[float, ...] = ()
-    undecodable: tuple[int, ...] = ()
     restart_iterations: tuple[int, ...] = ()   # of every restart that ran, in order
 
 
@@ -327,20 +322,6 @@ def init_random(dims, K: int, L: int, seed) -> BTDModel:
     return BTDModel(terms=tuple(terms))
 
 
-def orthonormalize_term(term: BlockTerm) -> BlockTerm:
-    """Canonical form: A, B get orthogonal columns of equal norm (the core's
-    singular values and the channel magnitude split between the pair), h is
-    scaled to unit norm.  The synthesized tensor is unchanged."""
-    Qa, Ra = np.linalg.qr(term.A)
-    Qb, Rb = np.linalg.qr(term.B)
-    U, S, Vh = np.linalg.svd(Ra @ Rb.T)
-    hn = np.linalg.norm(term.h)
-    if hn == 0 or S[-1] <= RANK_TOL * S[0]:
-        raise CanonicalizationFailure("rank-deficient block term")
-    scale = np.sqrt(S * hn)
-    return BlockTerm(A=(Qa @ U) * scale, B=(Qb @ Vh.T) * scale, h=term.h / hn)
-
-
 _pool = None   # (workers, ProcessPoolExecutor) once a pooled fit has needed one
 
 
@@ -388,7 +369,12 @@ def _descents(jobs, workers: int):
 
 def gndl_fit(Y: np.ndarray, K: int, L: int, config: SolverConfig,
              init: BTDModel | None = None) -> SolveResult:
-    """Best-of-restarts GN-dogleg fit of K rank-(L,L,1) terms to Y."""
+    """Best-of-restarts GN-dogleg fit of K rank-(L,L,1) terms to Y.
+
+    The winning restart's factors are returned as fitted. Each term is fixed
+    only up to an invertible L x L factor between A and B and a scale between
+    A B^T and h; the demapper reads column spaces, which this leaves alone.
+    """
     blas.pin_to_one_thread()
     Y = check_finite(np.asarray(Y, dtype=np.complex128))
     if Y.ndim != 3:
@@ -419,28 +405,14 @@ def gndl_fit(Y: np.ndarray, K: int, L: int, config: SolverConfig,
         raise SolverFailure("all restarts diverged")
 
     x, res, iters, converged, history, restart = best
-    terms = []
-    undecodable = []
-    for k, (A, B, h) in enumerate(zip(*_stacked(x, dims, K, L))):
-        term = BlockTerm(A=A, B=B, h=h)
-        try:
-            term = orthonormalize_term(term)
-        except CanonicalizationFailure:
-            undecodable.append(k)
-        terms.append(term)
+    terms = tuple(BlockTerm(A=A, B=B, h=h) for A, B, h in zip(*_stacked(x, dims, K, L)))
     return SolveResult(
-        model=BTDModel(terms=tuple(terms)),
+        model=BTDModel(terms=terms),
         relative_residual=res / y_norm,
         iterations=iters,
         converged=converged,
         restart_index=restart,
         residual_history=tuple(history),
-        undecodable=tuple(undecodable),
         restart_iterations=tuple(restart_iterations),
     )
 
-
-def cpd_fit(Y: np.ndarray, K: int, config: SolverConfig,
-            init: BTDModel | None = None) -> SolveResult:
-    """Rank-1-terms baseline: gndl_fit with L = 1."""
-    return gndl_fit(Y, K, 1, config, init=init)

@@ -11,12 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Full-rank test: the smallest singular value (or |diagonal of R| of a QR)
-# relative to the largest.  Applied where a fitted term is canonicalised and
-# where an estimate is demapped, not on construction.
-RANK_TOL = 1e-10
-
-
 def _as_complex(x, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(x, dtype=np.complex128)
     if arr.ndim != ndim:

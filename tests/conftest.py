@@ -28,3 +28,10 @@ def crandn(rng, *shape):
 def random_unitary(rng, n):
     Q, R = np.linalg.qr(crandn(rng, n, n))
     return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def subspace_distance(M, N):
+    """Chordal distance between the column spaces of M and N (same shape):
+    sqrt(L - ||Q_M^H Q_N||_F^2), with Q_X an orthonormal basis of X."""
+    overlap = np.linalg.norm(np.linalg.qr(M)[0].conj().T @ np.linalg.qr(N)[0])
+    return float(np.sqrt(max(0.0, M.shape[1] - overlap ** 2)))

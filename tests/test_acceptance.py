@@ -38,7 +38,7 @@ def test_01_codec_roundtrip_exhaustive():
     failures = 0
     for v in range(1 << 10):
         bits = codec.int_to_bits(v, 10)
-        out, _ = codec.demap_symbol(codec.build_symbol(bits, params), params)
+        out = codec.demap_symbol(codec.build_symbol(bits, params), params)
         if not np.array_equal(out, bits):
             failures += 1
     elapsed = time.perf_counter() - start
@@ -58,7 +58,7 @@ def test_02_rotation_scale_invariance():
         if abs(c) < 1e-3:
             c = 1.0
         Q = np.linalg.qr(c * U @ R)[0]
-        out, _ = codec.demap_symbol(Q, params)
+        out = codec.demap_symbol(Q, params)
         if not np.array_equal(out, bits):
             failures += 1
     report("2 rotation/scale invariance", failures == 0,

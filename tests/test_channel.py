@@ -75,8 +75,8 @@ class TestTransmit:
                                     b0=10, channel_rng=np.random.default_rng(1))
         for payload, term in zip(payloads, model.terms):
             Qa, Qb = np.linalg.qr(term.A)[0], np.linalg.qr(term.B)[0]
-            b1, _ = codec.demap_symbol(Qa, self.p1)
-            b2, _ = codec.demap_symbol(Qb, self.p2)
+            b1 = codec.demap_symbol(Qa, self.p1)
+            b2 = codec.demap_symbol(Qb, self.p2)
             np.testing.assert_array_equal(np.concatenate([b1, b2]), payload)
 
     def test_noise_energy_statistics(self, rng):

@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from btdm import cli
+from btdm import cli, codec
+
+from conftest import crandn
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -77,6 +79,45 @@ class TestEncodeDecode:
                             "--bits", "fff", "--ell", "8"], capsys)
         assert code == cli.EXIT_CONFIG
         assert "error" in err
+
+
+class TestDecodeConfidence:
+    """The confidence on stderr is minus the chordal distance between the
+    input's column space and the re-encoded symbol's."""
+
+    @staticmethod
+    def decode(capsys, tmp_path, M, t, l, ell):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("".join(",".join(str(complex(z)) for z in row) + "\n" for row in M))
+        code, out, err = run(["decode", "--t", str(t), "--l", str(l), "--ell", str(ell),
+                              "--matrix", str(matrix)], capsys)
+        assert code == 0
+        return out.strip(), float(err.split("confidence:")[1])
+
+    @pytest.mark.parametrize("l", [2, 1])
+    def test_exact_symbol_is_zero(self, capsys, tmp_path, l):
+        params = codec.CodecParams(8, l, 16)
+        U = codec.build_symbol(codec.int_to_bits(0x3a7f, 16), params)
+        hex_bits, confidence = self.decode(capsys, tmp_path, U, 8, l, 16)
+        assert hex_bits == "3a7f"
+        assert confidence == pytest.approx(0.0, abs=1e-6)
+
+    def test_invertible_factor_is_zero(self, capsys, tmp_path):
+        params = codec.CodecParams(10, 2, 24)
+        U = codec.build_symbol(codec.int_to_bits(0xabcdef, 24), params)
+        # Invertible, not unitary, and small: a distance computed without
+        # first orthonormalising the input would read far from 0.
+        S = 0.2 * np.array([[2.0, 0.5 - 1j], [0.3j, -1.5]])
+        hex_bits, confidence = self.decode(capsys, tmp_path, U @ S, 10, 2, 24)
+        assert hex_bits == "abcdef"
+        assert confidence == pytest.approx(0.0, abs=1e-6)
+
+    def test_perturbed_matrix_is_below_zero(self, capsys, tmp_path):
+        params = codec.CodecParams(10, 2, 24)
+        U = codec.build_symbol(codec.int_to_bits(0xabcdef, 24), params)
+        M = U + 0.01 * crandn(np.random.default_rng(3), 10, 2)
+        _, confidence = self.decode(capsys, tmp_path, M, 10, 2, 24)
+        assert confidence < -1e-4
 
 
 class TestSimulate:

@@ -2,11 +2,13 @@ import concurrent.futures
 import multiprocessing
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from btdm import blas, channel, codec, receiver, solver
+from btdm import tensor_core as tc
 from btdm.outer_code import OuterCode
 from btdm.solver import SolverConfig
 
@@ -131,6 +133,54 @@ class TestDemodulate:
         rx = receiver.ReceiverConfig(assumed_terms=2)
         decoded, _ = receiver.demodulate(Y, P1, P2, None, rx, SOLVER)
         assert decoded <= {receiver.bits_to_message(p)}
+
+
+class TestFittedTerms:
+    """Each term is demapped from its factors as fitted. The fit is made to
+    return a chosen model: one restart from it, with no step taken."""
+
+    @staticmethod
+    def scene():
+        rng = np.random.default_rng(31)
+        payloads = [rng.integers(0, 2, 22).astype(np.uint8) for _ in range(3)]
+        cfg = channel.ChannelConfig(n_antennas=4, n_users=3, ebn0_db=40.0,
+                                    symbol_energy=30.0)
+        Y, truth = channel.transmit(payloads, P1, P2, cfg, b0=10,
+                                    channel_rng=np.random.default_rng(32))
+        messages = [receiver.bits_to_message(p) for p in payloads]
+        assert len(set(messages)) == 3
+        return Y, truth, messages
+
+    @staticmethod
+    def demodulate_from(monkeypatch, Y, start, rx):
+        def fit_from_start(Y, K, L, cfg):
+            return solver.gndl_fit(Y, K, L, replace(cfg, restarts=1, max_iterations=0),
+                                   init=start)
+        monkeypatch.setattr(receiver, "gndl_fit", fit_from_start)
+        return receiver.demodulate(Y, P1, P2, None, rx, SOLVER)
+
+    def test_rank_deficient_term_is_demap_failure(self, monkeypatch):
+        # Term 1's A has two parallel columns; its energy is the true term's.
+        Y, truth, messages = self.scene()
+        t = truth.terms[1]
+        bad = tc.BlockTerm(A=np.hstack([t.A[:, :1], t.A[:, :1]]), B=t.B, h=t.h)
+        start = tc.BTDModel(terms=(truth.terms[0], bad, truth.terms[2]))
+        decoded, diag = self.demodulate_from(monkeypatch, Y, start,
+                                             receiver.ReceiverConfig(assumed_terms=3))
+        assert decoded == {messages[0], messages[2]}
+        assert (diag.terms_kept, diag.power_discards, diag.demap_failures) == (3, 0, 1)
+
+    def test_zero_energy_term_is_power_discard(self, monkeypatch):
+        # Term 1 keeps its true A and B but has h = 0: with the floor at 0 it
+        # is still discarded, never demapped.
+        Y, truth, messages = self.scene()
+        t = truth.terms[1]
+        silent = tc.BlockTerm(A=t.A, B=t.B, h=np.zeros_like(t.h))
+        start = tc.BTDModel(terms=(truth.terms[0], silent, truth.terms[2]))
+        rx = receiver.ReceiverConfig(assumed_terms=3, power_threshold=0.0)
+        decoded, diag = self.demodulate_from(monkeypatch, Y, start, rx)
+        assert decoded == {messages[0], messages[2]}
+        assert (diag.terms_kept, diag.power_discards, diag.demap_failures) == (2, 1, 0)
 
 
 class TestOuterCodeIntegration:
