@@ -126,9 +126,12 @@ def _parse_value(key, raw, ftype):
 def build_components(cfg: ExperimentConfig):
     """Validate the config and construct codec params and the outer code."""
     for name, least in (("workers", 1), ("groups", 1), ("trials", 0), ("seed", 0),
-                        ("symbol_energy", 0), ("max_iterations", 0)):
+                        ("symbol_energy", 0), ("max_iterations", 0), ("restarts", 1),
+                        ("sc_iterations", 0)):
         if getattr(cfg, name) < least:
             raise ConfigError(f"{name} = {getattr(cfg, name)} must be >= {least}")
+    if not 0 <= cfg.power_threshold < 1:
+        raise ConfigError(f"power_threshold = {cfg.power_threshold} must be in [0, 1)")
     if not cfg.k_list or min(cfg.k_list) < 1:
         raise ConfigError(f"k_list = {cfg.k_list} must hold at least one K >= 1")
     if cfg.b1 + cfg.b2 != cfg.b_bch:
@@ -143,7 +146,8 @@ def build_components(cfg: ExperimentConfig):
         try:
             outer = OuterCode.from_lengths(cfg.b_bch, cfg.b0, cfg.bch_m, cfg.bch_t)
         except ValueError as exc:
-            raise ConfigError(f"outer code: {exc}") from exc
+            raise ConfigError(f"outer code (bch_m = {cfg.bch_m}, bch_t = {cfg.bch_t}): "
+                              f"{exc}") from exc
     terms = str(cfg.assumed_terms)
     if terms not in ("known", "bound") and not (terms.isdecimal() and int(terms) >= 1):
         raise ConfigError(f"assumed_terms = {cfg.assumed_terms!r} must be 'known', "

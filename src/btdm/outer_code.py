@@ -1,11 +1,16 @@
 """Shortened binary BCH outer code for payload validation.
 
 Narrow-sense primitive BCH over GF(2^m), shortened to the configured lengths.
+GF(2^m) is a pair of numpy exp/log tables, and the generator g(x) is the
+product of (x + alpha^c) over the union of the cyclotomic cosets of 1..2t.
 Encoding is systematic: the payload bits appear verbatim at the front of the
 codeword (most-significant bit first), followed by n - k parity bits.
-Decoding is syndrome based: Berlekamp-Massey for the error locator, Chien
-search for the error positions, and a final syndrome re-check so that any
-inconsistent correction is reported as detected_uncorrectable.
+Decoding is syndrome based. The syndromes XOR-reduce a precomputed table of
+alpha^(i * position) over the word's set bits. Berlekamp-Massey finds the
+error locator, and a Chien search over the kept positions only finds the
+errors: a locator with a root in the shortened part has fewer than L roots
+there and is rejected. A final syndrome re-check reports any inconsistent
+correction as detected_uncorrectable.
 """
 
 from __future__ import annotations
@@ -40,87 +45,11 @@ class DecodeResult:
         return self.status is not DecodeStatus.UNCORRECTABLE
 
 
-class _GF:
-    """GF(2^m) with exp/log tables."""
-
-    def __init__(self, m: int):
-        self.m = m
-        self.size = (1 << m) - 1
-        poly = _PRIMITIVE_POLY[m]
-        self.exp = [0] * (2 * self.size)
-        self.log = [0] * (self.size + 1)
-        x = 1
-        for i in range(self.size):
-            self.exp[i] = x
-            self.log[x] = i
-            x <<= 1
-            if x >> m:
-                x ^= poly
-        for i in range(self.size, 2 * self.size):
-            self.exp[i] = self.exp[i - self.size]
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[self.log[a] + self.log[b]]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in GF(2^m)")
-        return self.exp[self.size - self.log[a]]
-
-    def pow_alpha(self, e: int) -> int:
-        return self.exp[e % self.size]
-
-
-def _clmul(a: int, b: int) -> int:
-    """Carry-less (GF(2)[x]) multiplication of bit-polynomials."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
-
-
 def _poly_mod(a: int, g: int) -> int:
     gdeg = g.bit_length() - 1
     while a.bit_length() - 1 >= gdeg and a:
         a ^= g << (a.bit_length() - 1 - gdeg)
     return a
-
-
-def _minimal_poly(gf: _GF, s: int) -> int:
-    """Minimal GF(2) polynomial of alpha^s as a bit-polynomial."""
-    coset = set()
-    c = s % gf.size
-    while c not in coset:
-        coset.add(c)
-        c = (2 * c) % gf.size
-    # Product of (x + alpha^c) with coefficients in GF(2^m).
-    poly = [1]
-    for c in coset:
-        root = gf.pow_alpha(c)
-        poly = [0] + poly
-        for i in range(len(poly) - 1):
-            poly[i] ^= gf.mul(poly[i + 1], root)
-    out = 0
-    for i, coef in enumerate(poly):
-        assert coef in (0, 1), "minimal polynomial must be binary"
-        out |= coef << i
-    return out
-
-
-def _generator_poly(gf: _GF, t: int) -> int:
-    g = 1
-    seen = set()
-    for s in range(1, 2 * t + 1):
-        mp = _minimal_poly(gf, s)
-        if mp not in seen:
-            seen.add(mp)
-            g = _clmul(g, mp)
-    return g
 
 
 @dataclass(frozen=True)
@@ -140,16 +69,31 @@ class OuterCode:
     def __init__(self, m: int, t: int, shorten: int = 0):
         if t < 1:
             raise ValueError("t must be >= 1")
-        self._gf = _GF(m)
-        self._g = _generator_poly(self._gf, t)
+        if m not in _PRIMITIVE_POLY:
+            raise ValueError(f"m = {m} is not supported; use one of {sorted(_PRIMITIVE_POLY)}")
         n = (1 << m) - 1
-        k = n - (self._g.bit_length() - 1)
+        exp = [1]
+        for _ in range(n - 1):
+            x = exp[-1] << 1
+            exp.append(x ^ _PRIMITIVE_POLY[m] if x >> m else x)
+        self._exp = np.array(exp * 2, dtype=np.int64)
+        self._log = np.zeros(n + 1, dtype=np.int64)
+        self._log[self._exp[:n]] = np.arange(n)
+        roots = {(s << j) % n for s in range(1, 2 * t + 1) for j in range(m)}  # cosets of 1..2t
+        g = np.ones(1, dtype=np.int64)  # GF(2^m) coefficients, constant term first
+        for c in roots:  # g(x) * (x + alpha^c)
+            g = np.append(0, g) ^ np.append(np.where(g > 0, self._exp[self._log[g] + c], 0), 0)
+        assert set(g.tolist()) <= {0, 1}, "generator polynomial must be binary"
+        self._g = sum(coef << i for i, coef in enumerate(g.tolist()))
+        k = n - len(roots)
         if shorten < 0 or shorten >= k:
             raise ValueError(f"shorten must be in [0, {k})")
         self.params = OuterCodeParams(
             field_exponent=m, t=t, shorten=shorten,
             n=n, k=k, n_eff=n - shorten, k_eff=k - shorten,
         )
+        # Row i, column j: alpha^(i * e_j), where word bit j has exponent e_j = n_eff - 1 - j.
+        self._powers = self._exp[np.outer(np.arange(2 * t + 1), np.arange(n - shorten)[::-1]) % n]
 
     @classmethod
     def from_lengths(cls, n_eff: int, k_eff: int, m: int, t: int) -> "OuterCode":
@@ -162,6 +106,9 @@ class OuterCode:
                 f"{code.params.n_eff}, not {n_eff}")
         return code
 
+    def _mul(self, a: int, b: int) -> int:
+        return int(self._exp[self._log[a] + self._log[b]]) if a and b else 0
+
     def encode(self, payload) -> np.ndarray:
         payload = np.asarray(payload, dtype=np.uint8)
         p = self.params
@@ -172,31 +119,21 @@ class OuterCode:
         return np.concatenate([payload, int_to_bits(parity, nparity)])
 
     def _syndromes(self, word) -> list[int]:
-        p, gf = self.params, self._gf
-        positions = [p.n - 1 - p.shorten - j for j in range(p.n_eff)]
-        syn = []
-        for i in range(1, 2 * p.t + 1):
-            s = 0
-            for j, bit in enumerate(word):
-                if bit:
-                    s ^= gf.pow_alpha(i * positions[j])
-            syn.append(s)
-        return syn
+        return np.bitwise_xor.reduce(self._powers[1:, word != 0], axis=1).tolist()
 
     def _berlekamp_massey(self, syn) -> tuple[list[int], int]:
-        gf = self._gf
         C, B = [1], [1]
         L, shift, b = 0, 1, 1
         for n_i, s in enumerate(syn):
             d = s
             for i in range(1, L + 1):
                 if i < len(C):
-                    d ^= gf.mul(C[i], syn[n_i - i])
+                    d ^= self._mul(C[i], syn[n_i - i])
             if d == 0:
                 shift += 1
                 continue
-            coef = gf.mul(d, gf.inv(b))
-            upd = [0] * shift + [gf.mul(coef, c) for c in B]
+            coef = int(self._exp[self._log[d] + self.params.n - self._log[b]])
+            upd = [0] * shift + [self._mul(coef, c) for c in B]
             newC = [a ^ b2 for a, b2 in
                     zip(C + [0] * max(0, len(upd) - len(C)),
                         upd + [0] * max(0, len(C) - len(upd)))]
@@ -212,37 +149,26 @@ class OuterCode:
 
     def decode(self, word) -> DecodeResult:
         word = np.asarray(word, dtype=np.uint8)
-        p, gf = self.params, self._gf
+        p = self.params
         if word.shape != (p.n_eff,):
             raise ValueError(f"word must have {p.n_eff} bits, got {word.shape}")
         syn = self._syndromes(word)
         if not any(syn):
             return DecodeResult(payload=word[:p.k_eff].copy(), status=DecodeStatus.OK)
+        rejected = DecodeResult(payload=word[:p.k_eff].copy(),
+                                status=DecodeStatus.UNCORRECTABLE)
         C, L = self._berlekamp_massey(syn)
         if L > p.t or L != len(C) - 1:
-            return DecodeResult(payload=word[:p.k_eff].copy(),
-                                status=DecodeStatus.UNCORRECTABLE)
-        # Chien search over all exponents of the parent code.
-        roots = []
-        for pos in range(p.n):
-            acc = 0
-            for i, c in enumerate(C):
-                if c:
-                    acc ^= gf.exp[(gf.log[c] + (gf.size - pos % gf.size) * i) % gf.size]
-            if acc == 0:
-                roots.append(pos)
+            return rejected
+        # Chien search: bit j is in error iff x^L C(1/x) vanishes at alpha^e_j.
+        terms = [self._exp[self._log[c] + self._log[self._powers[L - i]]]
+                 for i, c in enumerate(C) if c]
+        roots = np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 0)
         if len(roots) != L:
-            return DecodeResult(payload=word[:p.k_eff].copy(),
-                                status=DecodeStatus.UNCORRECTABLE)
+            return rejected
         corrected = word.copy()
-        for pos in roots:
-            idx = p.n - 1 - pos
-            if idx < p.shorten:
-                return DecodeResult(payload=word[:p.k_eff].copy(),
-                                    status=DecodeStatus.UNCORRECTABLE)
-            corrected[idx - p.shorten] ^= 1
+        corrected[roots] ^= 1
         if any(self._syndromes(corrected)):
-            return DecodeResult(payload=word[:p.k_eff].copy(),
-                                status=DecodeStatus.UNCORRECTABLE)
+            return rejected
         return DecodeResult(payload=corrected[:p.k_eff].copy(),
                             status=DecodeStatus.CORRECTED, corrected_bits=L)

@@ -88,7 +88,8 @@ class TestBuildComponents:
     @pytest.mark.parametrize("key,raw", [
         ("groups", "0"), ("trials", "-1"), ("k_list", "0"), ("k_list", ""),
         ("symbol_energy", "-1"), ("seed", "-1"), ("max_iterations", "-1"),
-        ("strict", "treu"),
+        ("strict", "treu"), ("bch_m", "11"), ("restarts", "0"), ("sc_iterations", "-1"),
+        ("power_threshold", "2"), ("power_threshold", "-0.1"), ("power_threshold", "1"),
     ])
     def test_invalid_value_is_config_error(self, key, raw):
         with pytest.raises(harness.ConfigError, match=key):

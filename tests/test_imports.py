@@ -1,4 +1,5 @@
-"""Every module under src/btdm and tests uses each name it imports."""
+"""Every module under src/btdm and tests uses each name it imports, and every
+module-private top-level name in src/btdm is read in its own module."""
 
 import ast
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "btdm").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+SOURCES = sorted((ROOT / "src" / "btdm").glob("*.py"))
+MODULES = sorted([*SOURCES, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,3 +45,36 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Top-level functions, classes and constants named ``_x`` that the
+    module never reads. Dunder names such as ``__all__`` are not private."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in sorted(defined.items(), key=lambda i: i[1])
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_detects_unread_private_name():
+    source = ("__all__ = []\n_USED, _SPARE = 1, 2\n_LIMIT: int = 3\n"
+              "def _helper():\n    return _helper\n"
+              "def _orphan():\n    _local = _USED\n    return _local\n"
+              "class _Unused:\n    pass\ndef public():\n    return _LIMIT\n")
+    assert unread_private_names(source) == ["line 2: _SPARE", "line 6: _orphan",
+                                            "line 9: _Unused"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_private_names_are_read(path):
+    assert unread_private_names(path.read_text()) == []

@@ -158,3 +158,34 @@ class TestDecode:
     def test_wrong_length(self):
         with pytest.raises(ValueError):
             OuterCode(4, 2).decode(np.zeros(14, dtype=np.uint8))
+
+
+def all_words(width):
+    """Every width-bit word, MSB first, one per row."""
+    return ((np.arange(1 << width)[:, None] >> np.arange(width)[::-1]) & 1).astype(np.uint8)
+
+
+@pytest.mark.parametrize("shorten", [0, 2])
+def test_exhaustive_bounded_distance(shorten):
+    # Oracle: for every word of the (15, 7) t=2 code and its (13, 5)
+    # shortening, the nearest codeword by brute force. A word within t of it
+    # decodes to that codeword's payload with the distance as corrected_bits;
+    # every other word is rejected.
+    code = OuterCode(4, 2, shorten=shorten)
+    p = code.params
+    payloads = all_words(p.k_eff)
+    codewords = np.array([code.encode(u) for u in payloads], dtype=np.int64)
+    words = all_words(p.n_eff)
+    dist = words.sum(1)[:, None] + codewords.sum(1) - 2 * (words @ codewords.T)
+    nearest = dist.argmin(1)
+    wrong = []
+    for word, i, d in zip(words, nearest, dist.min(1)):
+        res = code.decode(word)
+        if d > p.t:
+            ok = res.status is DecodeStatus.UNCORRECTABLE
+        else:
+            ok = (res.status is (DecodeStatus.OK if d == 0 else DecodeStatus.CORRECTED)
+                  and res.corrected_bits == d and np.array_equal(res.payload, payloads[i]))
+        if not ok:
+            wrong.append((word.tolist(), int(d), res.status, res.corrected_bits))
+    assert wrong == []
