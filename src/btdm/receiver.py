@@ -2,9 +2,11 @@
 
 Fit a block-term decomposition to the received tensor, demap each term above
 the power floor from its factors as fitted, validate with the outer code, and
-report the decoded message set.  Optional successive cancellation subtracts
-validated users and re-decomposes the residual; user groups demodulate
-independently, in turn.
+report the decoded message set. With an outer code, the fit stops at the
+first restart whose every term decodes to a distinct valid message. Optional
+successive cancellation subtracts validated users and re-decomposes the
+residual; user groups demodulate independently, in a process pool when
+asked for.
 
 Messages are represented as '0'/'1' strings so that sets of payloads are
 hashable and trivially reversible to bit arrays.
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import codec
 from .outer_code import OuterCode
-from .solver import SolveResult, SolverConfig, SolverFailure, gndl_fit
+from .solver import SolverConfig, SolverFailure, gndl_fit, pool_map
 from .tensor_core import BlockTerm, frobenius
 
 
@@ -50,6 +52,8 @@ class DemodDiagnostics:
     demap_failures: int = 0
     outer_rejects: int = 0
     solver_failed: bool = False
+    restarts_run: int = 0          # restarts the fit scanned
+    total_iterations: int = 0      # their iterations, summed
 
 
 @dataclass
@@ -109,49 +113,74 @@ def _term_energy(term: BlockTerm) -> float:
     return float(np.linalg.norm(term.A @ term.B.T) ** 2 * np.linalg.norm(term.h) ** 2)
 
 
-def _demap_terms(result: SolveResult, params1, params2, outer, rx_cfg,
-                 y_energy: float, diag: DemodDiagnostics) -> set[str]:
-    floor = rx_cfg.power_threshold * y_energy / rx_cfg.assumed_terms
-    messages: set[str] = set()
-    for term in result.model.terms:
-        if _term_energy(term) <= floor:
-            diag.power_discards += 1
-            continue
-        diag.terms_kept += 1
-        try:
-            bits_a = codec.demap_symbol(term.A, params1)
-            bits_b = codec.demap_symbol(term.B, params2)
-        except codec.DemapFailure:
-            diag.demap_failures += 1
-            continue
-        coded = np.concatenate([bits_a, bits_b])
-        if outer is None:
-            messages.add(bits_to_message(coded))
-            continue
-        res = outer.decode(coded)
-        if res.valid:
-            messages.add(bits_to_message(res.payload))
-        else:
-            diag.outer_rejects += 1
-    return messages
+def _term_message(term: BlockTerm, params1, params2, outer, floor: float,
+                  diag: DemodDiagnostics) -> str | None:
+    """The term's decoded message, or None after counting in diag why it has none."""
+    if _term_energy(term) <= floor:
+        diag.power_discards += 1
+        return None
+    diag.terms_kept += 1
+    try:
+        coded = np.concatenate([codec.demap_symbol(term.A, params1),
+                                codec.demap_symbol(term.B, params2)])
+    except codec.DemapFailure:
+        diag.demap_failures += 1
+        return None
+    if outer is None:
+        return bits_to_message(coded)
+    res = outer.decode(coded)
+    if not res.valid:
+        diag.outer_rejects += 1
+        return None
+    return bits_to_message(res.payload)
 
 
 def demodulate(Y: np.ndarray, params1: codec.CodecParams, params2: codec.CodecParams,
                outer: OuterCode | None, rx_cfg: ReceiverConfig,
                solver_cfg: SolverConfig) -> tuple[set[str], DemodDiagnostics]:
-    """Single-pass BTD demodulation: fit, filter, demap, validate, dedupe."""
+    """Single-pass BTD demodulation: fit, filter, demap, validate, dedupe.
+
+    With an outer code the fit stops at the first restart whose K terms all
+    clear the power floor, demap, pass the outer code and give K distinct
+    messages; by the uniqueness of the decomposition those are the users.
+    That restart's messages are returned without a second demap.
+    """
     diag = DemodDiagnostics()
+    K = rx_cfg.assumed_terms
+    floor = rx_cfg.power_threshold * frobenius(Y) ** 2 / K
+    accepted = []
+
+    def every_term_decodes(model) -> bool:
+        messages = set()
+        for term in model.terms:
+            message = _term_message(term, params1, params2, outer, floor, DemodDiagnostics())
+            if message is None:
+                return False
+            messages.add(message)
+        if len(messages) < K:
+            return False
+        accepted.append(messages)
+        return True
+
     try:
-        result = gndl_fit(Y, rx_cfg.assumed_terms, params1.L, solver_cfg)
+        if outer is None:   # nothing validates a message, so every restart runs
+            result = gndl_fit(Y, K, params1.L, solver_cfg)
+        else:
+            result = gndl_fit(Y, K, params1.L, solver_cfg, accept=every_term_decodes)
     except SolverFailure:
         diag.solver_failed = True
         return set(), diag
     diag.solver_iterations = result.iterations
     diag.relative_residual = result.relative_residual
     diag.solver_converged = result.converged
-    messages = _demap_terms(result, params1, params2, outer, rx_cfg,
-                            frobenius(Y) ** 2, diag)
-    return messages, diag
+    diag.restarts_run = len(result.restart_iterations)
+    diag.total_iterations = sum(result.restart_iterations)
+    if accepted:
+        diag.terms_kept = K
+        return accepted[0], diag
+    messages = {_term_message(term, params1, params2, outer, floor, diag)
+                for term in result.model.terms}
+    return messages - {None}, diag
 
 
 def _reencode_symbols(message: str, params1, params2, outer) -> np.ndarray:
@@ -212,11 +241,17 @@ def demodulate_groups(Y_list, params1, params2, outer, rx_cfgs,
                       ) -> tuple[set[str], list[ScDiagnostics]]:
     """Union of per-group demodulation, and each group's ScDiagnostics.
 
-    Group g is decoded with rx_cfgs[g], in this process and in order. Every
-    fit runs its restarts on max_workers processes (SolverConfig.workers).
-    An exception in any group propagates.
+    Group g is decoded with rx_cfgs[g]. With max_workers > 1, two or more
+    groups decode in the solver's process pool and their fits run their
+    restarts in process; a single group's fits run their restarts in the
+    pool instead. The results do not depend on max_workers. An exception in
+    any group propagates.
     """
-    solver_cfg = replace(solver_cfg, workers=max_workers)
-    results = [successive_cancellation(Y, params1, params2, outer, rx_cfg, solver_cfg)
-               for Y, rx_cfg in zip(Y_list, rx_cfgs, strict=True)]
+    jobs = list(zip(Y_list, rx_cfgs, strict=True))
+    pooled = max_workers > 1 and len(jobs) > 1
+    solver_cfg = replace(solver_cfg, workers=1 if pooled else max_workers)
+    results = pool_map(successive_cancellation,
+                       [(Y, params1, params2, outer, rx_cfg, solver_cfg)
+                        for Y, rx_cfg in jobs],
+                       max_workers)
     return set().union(*(m for m, _ in results)), [sc_diag for _, sc_diag in results]

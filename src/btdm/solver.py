@@ -48,7 +48,7 @@ class SolverConfig:
     max_iterations: int = 500
     restarts: int = 5
     seed: int = 0
-    workers: int = 1               # processes that run the restarts' descents
+    workers: int = 1               # pool processes for the restarts, in waves of this many
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -65,7 +65,7 @@ class SolveResult:
     converged: bool
     restart_index: int
     residual_history: tuple[float, ...] = ()
-    restart_iterations: tuple[int, ...] = ()   # of every restart that ran, in order
+    restart_iterations: tuple[int, ...] = ()   # of every restart scanned, in order
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +306,12 @@ def _run_gndl(y_vec, dims, K, L, x0, config):
     return x, res, it, converged, history
 
 
+def _model(x, dims, K, L) -> BTDModel:
+    """The packed factors x as a model, each term's factors as views of x."""
+    return BTDModel(terms=tuple(BlockTerm(A=A, B=B, h=h)
+                                for A, B, h in zip(*_stacked(x, dims, K, L))))
+
+
 def init_random(dims, K: int, L: int, seed) -> BTDModel:
     """Random model: Gaussian factors with A, B column-orthonormalized."""
     rng = np.random.default_rng(seed)
@@ -322,12 +328,13 @@ def init_random(dims, K: int, L: int, seed) -> BTDModel:
     return BTDModel(terms=tuple(terms))
 
 
-_pool = None   # (workers, ProcessPoolExecutor) once a pooled fit has needed one
+_pool = None   # (workers, ProcessPoolExecutor) once a pooled map has needed one
+_in_worker = False   # set in pool workers, whose maps run in process
 
 
 @atexit.register
 def shutdown_pool() -> None:
-    """Stop the restart pool's workers; the next pooled fit starts new ones."""
+    """Stop the pool's workers; the next pooled map starts new ones."""
     global _pool
     if _pool is not None:
         _pool[1].shutdown(cancel_futures=True)
@@ -337,6 +344,8 @@ def shutdown_pool() -> None:
 def _start_worker(count, cpus):
     """Pool initializer: one BLAS thread, and each worker on the next usable CPU
     (left to the scheduler, workers woken through their pipes can share one)."""
+    global _in_worker
+    _in_worker = True
     blas.pin_to_one_thread()
     with count.get_lock():
         count.value += 1
@@ -344,32 +353,49 @@ def _start_worker(count, cpus):
             os.sched_setaffinity(0, {cpus[(count.value - 1) % len(cpus)]})
 
 
-def _descents(jobs, workers: int):
-    """_run_gndl(*job) for each job, in order. With workers > 1 and several
-    jobs they run in the restart pool, forked after gndl_fit pins BLAS and
-    rebuilt when workers changes or a worker dies; closing cancels the rest."""
-    if workers == 1 or len(jobs) < 2:
-        yield from (_run_gndl(*job) for job in jobs)
-        return
+def pool_map(fn, jobs, workers: int) -> list:
+    """[fn(*job) for job in jobs], the package's one parallel map.
+
+    With workers > 1 and at least two jobs they run in one process pool,
+    forked after the BLAS pin, kept for the life of the process, and rebuilt
+    when workers changes or a worker dies. Inside a pool worker, and
+    otherwise, they run here in order, so pools never nest. fn must be
+    reachable by name from its module. Returns once every job has finished.
+    """
+    if workers == 1 or len(jobs) < 2 or _in_worker:
+        return [fn(*job) for job in jobs]
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     from multiprocessing import Value
     global _pool
     if _pool is not None and _pool[0] != workers:
         shutdown_pool()
     if _pool is None:
+        blas.pin_to_one_thread()
         cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
         _pool = workers, ProcessPoolExecutor(workers, initializer=_start_worker,
                                              initargs=(Value("i", 0), cpus))
     try:
-        yield from _pool[1].map(_run_gndl, *zip(*jobs))
+        return list(_pool[1].map(fn, *zip(*jobs)))
     except BrokenProcessPool:
         shutdown_pool()
         raise
 
 
+def _descents(jobs, workers: int):
+    """_run_gndl(*job) for each job, in order, in waves of `workers` through
+    pool_map. A scan that stops early leaves nothing queued or running."""
+    for start in range(0, len(jobs), workers):
+        yield from pool_map(_run_gndl, jobs[start:start + workers], workers)
+
+
 def gndl_fit(Y: np.ndarray, K: int, L: int, config: SolverConfig,
-             init: BTDModel | None = None) -> SolveResult:
-    """Best-of-restarts GN-dogleg fit of K rank-(L,L,1) terms to Y.
+             init: BTDModel | None = None, accept=None) -> SolveResult:
+    """GN-dogleg fit of K rank-(L,L,1) terms to Y from several restarts.
+
+    Restarts are scanned in order. The fit returns the first restart whose
+    model ``accept(model)`` approves, and otherwise the restart with the
+    least residual; an exact fit also ends the scan. Only scanned restarts
+    count in ``restart_iterations``.
 
     The winning restart's factors are returned as fitted. Each term is fixed
     only up to an invertible L x L factor between A and B and a scale between
@@ -397,17 +423,20 @@ def gndl_fit(Y: np.ndarray, K: int, L: int, config: SolverConfig,
         restart_iterations.append(iters)
         if not np.isfinite(res):
             continue
+        outcome = (x, res, iters, converged, history, restart)
+        if accept is not None and accept(_model(x, dims, K, L)):
+            best = outcome
+            break
         if best is None or res < best[1]:
-            best = (x, res, iters, converged, history, restart)
+            best = outcome
         if converged and res / y_norm < 1e-10:
             break
     if best is None:
         raise SolverFailure("all restarts diverged")
 
     x, res, iters, converged, history, restart = best
-    terms = tuple(BlockTerm(A=A, B=B, h=h) for A, B, h in zip(*_stacked(x, dims, K, L)))
     return SolveResult(
-        model=BTDModel(terms=terms),
+        model=_model(x, dims, K, L),
         relative_residual=res / y_norm,
         iterations=iters,
         converged=converged,

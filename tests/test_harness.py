@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
-from btdm import harness
+from btdm import harness, receiver
 
 
 def desk_config(**overrides):
@@ -167,6 +169,29 @@ class TestRunMonteCarlo:
             desk_config(**grouped, workers=w))) for w in (1, 2))
         assert mask_runtime(csv1) == mask_runtime(csv2)
         assert csv1.split("\n")[1].startswith("12,8,2,")
+
+    def test_early_stop_csv_independent_of_workers(self, monkeypatch):
+        # One group per trial, so workers=2 runs the restarts in the pool.
+        # At 8 dB with short descents the fit stops at its first restart in
+        # some trials, and in one no restart decodes every user.
+        diags = []
+        demodulate = receiver.demodulate
+
+        def spy(*args):
+            result = demodulate(*args)
+            diags.append(result[1])
+            return result
+
+        monkeypatch.setattr(receiver, "demodulate", spy)
+        cfg = desk_config(k_list=(6,), ebn0_list=(8.0,), seed=3, max_iterations=30)
+        csv1, csv2 = (harness.rows_to_csv(harness.run_monte_carlo(replace(cfg, workers=w)))
+                      for w in (1, 2))
+        assert mask_runtime(csv1) == mask_runtime(csv2)
+        runs = [d.restarts_run for d in diags]
+        assert runs[:len(runs) // 2] == runs[len(runs) // 2:]
+        assert 1 in runs
+        missed = [d for d in diags if d.power_discards + d.demap_failures + d.outer_rejects]
+        assert missed and all(d.restarts_run == cfg.restarts for d in missed)
 
     def test_seed_changes_results(self):
         cfg0 = desk_config(trials=2)

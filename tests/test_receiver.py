@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from btdm import blas, channel, codec, receiver, solver
+from btdm import blas, channel, codec, harness, receiver, solver
 from btdm import tensor_core as tc
 from btdm.outer_code import OuterCode
 from btdm.solver import SolverConfig
@@ -220,6 +220,109 @@ class TestOuterCodeIntegration:
         assert decoded == set()
 
 
+class TestEarlyStop:
+    """With an outer code, the fit stops at the first restart whose K terms
+    all decode to K distinct valid messages. Desk point, E_s = T1*T2."""
+    p1, p2 = TestOuterCodeIntegration.p1, TestOuterCodeIntegration.p2
+    outer = TestOuterCodeIntegration.outer
+
+    def scene(self, seed, K=4, ebn0_db=16.0):
+        rng = np.random.default_rng((seed, 0))
+        payloads = harness._distinct_payloads(K, 20, rng)
+        cfg = channel.ChannelConfig(n_antennas=8, n_users=K, ebn0_db=ebn0_db,
+                                    symbol_energy=80.0)
+        Y, truth = channel.transmit([self.outer.encode(p) for p in payloads], self.p1,
+                                    self.p2, cfg, b0=20,
+                                    channel_rng=np.random.default_rng((seed, 1)),
+                                    noise_rng=np.random.default_rng((seed, 2)))
+        return Y, {receiver.bits_to_message(p) for p in payloads}, truth
+
+    def demodulate(self, Y, K, outer=outer, seed=0):
+        return receiver.demodulate(Y, self.p1, self.p2, outer,
+                                   receiver.ReceiverConfig(assumed_terms=K),
+                                   SolverConfig(seed=seed, restarts=5))
+
+    def test_stops_at_first_restart(self):
+        Y, sent, _ = self.scene(1)
+        decoded, diag = self.demodulate(Y, 4)
+        assert decoded == sent
+        assert diag.restarts_run == 1
+        assert (diag.terms_kept, diag.power_discards, diag.demap_failures,
+                diag.outer_rejects) == (4, 0, 0, 0)
+
+    def test_no_outer_code_scans_every_restart(self):
+        Y, _, _ = self.scene(1)
+        _, diag = self.demodulate(Y, 4, outer=None)
+        assert diag.restarts_run == 5
+
+    def test_surplus_terms_scan_every_restart(self, monkeypatch):
+        Y, _, _ = self.scene(1)
+        decoded, diag = self.demodulate(Y, 5)
+        assert diag.restarts_run == 5
+
+        def best_of_restarts(Y, K, L, cfg, accept=None):
+            return solver.gndl_fit(Y, K, L, cfg)
+
+        monkeypatch.setattr(receiver, "gndl_fit", best_of_restarts)
+        assert self.demodulate(Y, 5) == (decoded, diag)
+
+    def test_accepted_demap_is_reused(self, monkeypatch):
+        Y, sent, _ = self.scene(1)
+        calls = []
+        demap = codec.demap_symbol
+
+        def spy(*args):
+            calls.append(args)
+            return demap(*args)
+
+        monkeypatch.setattr(codec, "demap_symbol", spy)
+        decoded, diag = self.demodulate(Y, 4)
+        assert decoded == sent and diag.restarts_run == 1
+        assert len(calls) == 2 * 4
+
+    def test_repeated_message_is_not_accepted(self, monkeypatch):
+        Y, _, truth = self.scene(1)
+        checks = []
+
+        def capture(Y, K, L, cfg, accept):
+            checks.append(accept)
+            raise solver.SolverFailure
+
+        monkeypatch.setattr(receiver, "gndl_fit", capture)
+        assert self.demodulate(Y, 4)[1].solver_failed
+        t = truth.terms
+        assert checks[0](truth)
+        # Every term decodes, but two of them to the same user.
+        assert not checks[0](tc.BTDModel(terms=(t[0], t[0], t[2], t[3])))
+
+    def test_diagnostics_count_the_scanned_restarts(self, monkeypatch):
+        fits = []
+        fit = receiver.gndl_fit
+
+        def spy(*args, **kwargs):
+            fits.append(fit(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(receiver, "gndl_fit", spy)
+        Y, _, _ = self.scene(1)
+        for K in (4, 5):
+            _, diag = self.demodulate(Y, K)
+            assert diag.restarts_run == len(fits[-1].restart_iterations)
+            assert diag.total_iterations == sum(fits[-1].restart_iterations)
+        assert [len(f.restart_iterations) for f in fits] == [1, 5]
+
+    def test_stop_fires_on_most_desk_scenes(self):
+        # Work gate with no clock in it: at 12 dB restart 0 usually decodes
+        # every user, so a mean above 1.5 restarts means the stop stopped firing.
+        runs = []
+        for seed in range(20):
+            Y, sent, _ = self.scene(100 + seed, ebn0_db=12.0)
+            decoded, diag = self.demodulate(Y, 4, seed=seed)
+            assert decoded == sent, seed
+            runs.append(diag.restarts_run)
+        assert np.mean(runs) <= 1.5, runs
+
+
 class TestSuccessiveCancellation:
     def test_sc_zero_matches_demodulate(self):
         Y, _ = make_scene(31, K=2)
@@ -282,6 +385,27 @@ class TestGroups:
             pids.append({p.pid for p in multiprocessing.active_children()})
         assert len(pids[0]) == 2 and pids[1] == pids[0]
 
+    def test_groups_decode_in_the_pool(self, monkeypatch):
+        ys, sent = self.payload_sets()
+        rx = receiver.ReceiverConfig(assumed_terms=2)
+        receiver.demodulate_groups(ys, P1, P2, None, [rx] * 2, SOLVER, max_workers=2)
+        fits = []
+        fit = receiver.gndl_fit
+
+        def spy(Y, K, L, cfg, **kwargs):
+            fits.append(cfg.workers)
+            return fit(Y, K, L, cfg, **kwargs)
+
+        monkeypatch.setattr(receiver, "gndl_fit", spy)
+        for max_workers in (2, 1):
+            decoded, _ = receiver.demodulate_groups(ys, P1, P2, None, [rx] * 2, SOLVER,
+                                                    max_workers=max_workers)
+            assert decoded == sent
+        # The pooled call fitted nothing here; in process, fits run in turn.
+        assert fits == [1, 1]
+        receiver.demodulate_groups(ys[:1], P1, P2, None, [rx], SOLVER, max_workers=2)
+        assert fits == [1, 1, 2]
+
     def test_group_order_irrelevant(self):
         ys, _ = self.payload_sets()
         rx = receiver.ReceiverConfig(assumed_terms=2)
@@ -290,6 +414,20 @@ class TestGroups:
         d2, _ = receiver.demodulate_groups(ys[::-1], P1, P2, None, [rx] * len(ys), SOLVER,
                                            max_workers=1)
         assert d1 == d2
+
+    def test_diagnostics_independent_of_workers(self):
+        # Two desk groups through the pool, their fits' restarts in process:
+        # the first stops at an accepted restart, the second assumes a
+        # surplus term and scans every restart.
+        stop = TestEarlyStop()
+        scenes = [stop.scene(seed, ebn0_db=12.0) for seed in (1, 2)]
+        rx_cfgs = [receiver.ReceiverConfig(assumed_terms=K, sc_iterations=1) for K in (4, 5)]
+        decoded, diags = zip(*(receiver.demodulate_groups(
+            [Y for Y, _, _ in scenes], stop.p1, stop.p2, stop.outer, rx_cfgs,
+            SolverConfig(seed=0, restarts=5), max_workers=w) for w in (1, 2)))
+        assert decoded[0] == decoded[1] == scenes[0][1] | scenes[1][1]
+        assert diags[0] == diags[1]
+        assert [d.pass_diags[0].restarts_run for d in diags[0]] == [2, 5]
 
     @pytest.mark.parametrize("max_workers", [1, 2], ids=["serial", "process"])
     def test_failing_group_raises(self, max_workers):

@@ -309,6 +309,10 @@ def _dying_descent(*_):
     os._exit(3)
 
 
+def _pids_of_nested_map():
+    return solver.pool_map(os.getpid, [(), ()], 2)
+
+
 def _alive(pid):
     try:
         os.kill(pid, 0)
@@ -408,6 +412,10 @@ class TestRestartPool:
         monkeypatch.undo()
         assert np.isfinite(solver.gndl_fit(Y, 4, 2, cfg).relative_residual)
 
+    def test_map_inside_a_worker_runs_in_process(self):
+        for pids in solver.pool_map(_pids_of_nested_map, [(), ()], 2):
+            assert len(set(pids)) == 1 and pids[0] != os.getpid()
+
     def test_workers_validated(self):
         with pytest.raises(ValueError):
             solver.SolverConfig(workers=0)
@@ -444,6 +452,61 @@ class TestRestartPool:
         pids = [int(pid) for pid in done.stdout.split()]
         assert len(pids) == 2
         assert not any(_alive(pid) for pid in pids)
+
+
+class TestAccept:
+    """gndl_fit returns the first restart that accept approves, scanning in
+    order, and a pool runs restarts in waves of `workers`."""
+
+    @staticmethod
+    def accept_nth(n):
+        seen = []
+
+        def accept(model):
+            seen.append(model)
+            return len(seen) == n
+        return accept
+
+    def test_first_accepted_restart_wins(self):
+        _, Y = TestRestartPool.noisy_desk()
+        cfg = solver.SolverConfig(seed=3, restarts=5, max_iterations=80)
+        best = solver.gndl_fit(Y, 4, 2, cfg)
+        res = solver.gndl_fit(Y, 4, 2, cfg, accept=self.accept_nth(2))
+        assert res.restart_index == 1
+        assert res.restart_iterations == best.restart_iterations[:2]
+        assert res.iterations == best.restart_iterations[1]
+        never = solver.gndl_fit(Y, 4, 2, cfg, accept=lambda model: False)
+        TestRestartPool.assert_same(never, best)
+
+    @pytest.mark.parametrize("n", [4, 0], ids=["accepts-restart-3", "accepts-none"])
+    def test_independent_of_workers(self, n):
+        # With 5 restarts, 3 workers run a full wave and a partial one.
+        _, Y = TestRestartPool.noisy_desk()
+        cfg = solver.SolverConfig(seed=3, restarts=5, max_iterations=80)
+        r1, r2, r3 = (solver.gndl_fit(Y, 4, 2, replace(cfg, workers=w),
+                                      accept=self.accept_nth(n)) for w in (1, 2, 3))
+        assert len(r1.restart_iterations) == (n or 5)
+        TestRestartPool.assert_same(r1, r2)
+        TestRestartPool.assert_same(r1, r3)
+
+    def test_stop_leaves_no_work_queued(self, monkeypatch):
+        # Noise-free: restart 0 is exact. Restarts mapped all at once used
+        # to leave workers + 1 of them running after the stop.
+        Y = tc.synthesize_received(random_model(np.random.default_rng(0), dims=(10, 8, 8),
+                                                K=4))
+        waves = []
+        pool_map = solver.pool_map
+
+        def spy(fn, jobs, workers):
+            waves.append(len(jobs))
+            return pool_map(fn, jobs, workers)
+
+        monkeypatch.setattr(solver, "pool_map", spy)
+        res = solver.gndl_fit(Y, 4, 2, solver.SolverConfig(seed=0, restarts=60,
+                                                           max_iterations=100, workers=2))
+        assert res.restart_index == 0 and len(res.restart_iterations) == 1
+        assert waves == [2]
+        assert not solver._pool[1]._pending_work_items
 
 
 class TestStepReuse:
