@@ -3,10 +3,10 @@
 Fit a block-term decomposition to the received tensor, demap each term above
 the power floor from its factors as fitted, validate with the outer code, and
 report the decoded message set. With an outer code, the fit stops at the
-first restart whose every term decodes to a distinct valid message. Optional
-successive cancellation subtracts validated users and re-decomposes the
-residual; user groups demodulate independently, in a process pool when
-asked for.
+first start, ALS descents first, whose every term decodes to a distinct
+valid message. Optional successive cancellation subtracts validated users
+and re-decomposes the residual; user groups demodulate independently, in a
+process pool when asked for.
 
 Messages are represented as '0'/'1' strings so that sets of payloads are
 hashable and trivially reversible to bit arrays.
@@ -52,8 +52,9 @@ class DemodDiagnostics:
     demap_failures: int = 0
     outer_rejects: int = 0
     solver_failed: bool = False
-    restarts_run: int = 0          # restarts the fit scanned
+    restarts_run: int = 0          # descents the fit scanned, ALS and GN
     total_iterations: int = 0      # their iterations, summed
+    als_starts: int = 0            # of them, ALS descents
 
 
 @dataclass
@@ -140,10 +141,11 @@ def demodulate(Y: np.ndarray, params1: codec.CodecParams, params2: codec.CodecPa
                solver_cfg: SolverConfig) -> tuple[set[str], DemodDiagnostics]:
     """Single-pass BTD demodulation: fit, filter, demap, validate, dedupe.
 
-    With an outer code the fit stops at the first restart whose K terms all
-    clear the power floor, demap, pass the outer code and give K distinct
-    messages; by the uniqueness of the decomposition those are the users.
-    That restart's messages are returned without a second demap.
+    With an outer code the fit stops at the first start, ALS descents
+    before GN ones, whose K terms all clear the power floor, demap, pass the
+    outer code and give K distinct messages; by the uniqueness of the
+    decomposition those are the users. That start's messages are returned
+    without a second demap.
     """
     diag = DemodDiagnostics()
     K = rx_cfg.assumed_terms
@@ -163,7 +165,7 @@ def demodulate(Y: np.ndarray, params1: codec.CodecParams, params2: codec.CodecPa
         return True
 
     try:
-        if outer is None:   # nothing validates a message, so every restart runs
+        if outer is None:   # nothing certifies a fit: no ALS, and every GN restart runs
             result = gndl_fit(Y, K, params1.L, solver_cfg)
         else:
             result = gndl_fit(Y, K, params1.L, solver_cfg, accept=every_term_decodes)
@@ -175,6 +177,7 @@ def demodulate(Y: np.ndarray, params1: codec.CodecParams, params2: codec.CodecPa
     diag.solver_converged = result.converged
     diag.restarts_run = len(result.restart_iterations)
     diag.total_iterations = sum(result.restart_iterations)
+    diag.als_starts = result.als_starts
     if accepted:
         diag.terms_kept = K
         return accepted[0], diag

@@ -1,4 +1,13 @@
-"""Gauss-Newton dogleg trust-region fitting of rank-(L,L,1) block terms.
+"""Fitting of rank-(L,L,1) block terms: alternating least squares (ALS)
+starts certified by the caller, then Gauss-Newton dogleg trust-region
+descents.
+
+An ALS sweep solves for A, then B, then h, each a linear least-squares
+problem with KL x KL or K x K normal equations (:func:`_als_sweep`), against
+a P x P system per Gauss-Newton step. An ALS descent carries no convergence
+guarantee and can stall in a swamp, so :func:`gndl_fit` keeps an ALS start
+only when the caller's ``accept`` check certifies its model (the receiver's
+outer code does), and otherwise runs the Gauss-Newton scan.
 
 The factors are complex; because the model is holomorphic in its parameters,
 the Gauss-Newton normal equations over the interleaved real/imag coordinates
@@ -37,6 +46,12 @@ STEP_ACCEPT_RATIO = 0.1
 # relative amount, or a gradient norm below GRAD_TOL, ends the descent.
 REL_RESIDUAL_TOL = 1e-8
 GRAD_TOL = 1e-8
+# An ALS sweep that lowers the residual by less than this relative amount
+# ends an ALS descent.
+ALS_REL_RESIDUAL_TOL = 1e-7
+# A residual at or below this fraction of ||Y|| is an exact fit: it ends an
+# ALS descent, and the GN scan.
+EXACT_FIT = 1e-10
 
 
 class SolverFailure(Exception):
@@ -45,10 +60,10 @@ class SolverFailure(Exception):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    max_iterations: int = 500
+    max_iterations: int = 500      # per descent: GN iterations, or ALS sweeps
     restarts: int = 5
     seed: int = 0
-    workers: int = 1               # pool processes for the restarts, in waves of this many
+    workers: int = 1               # pool processes for the ALS and GN scans, in waves
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -63,9 +78,11 @@ class SolveResult:
     relative_residual: float
     iterations: int
     converged: bool
-    restart_index: int
+    restart_index: int             # of the returned start, within its engine's scan
     residual_history: tuple[float, ...] = ()
-    restart_iterations: tuple[int, ...] = ()   # of every restart scanned, in order
+    restart_iterations: tuple[int, ...] = ()   # of every descent scanned, in order
+    engine: str = "gn"             # "als" or "gn": the descent that gave the model
+    als_starts: int = 0            # leading entries of restart_iterations that are ALS
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +214,16 @@ def _gramian(lin: _Linearisation, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """G^{-1} rhs for a Hermitian normal matrix G, overwritten with its
+    Tikhonov-regularised form; least squares if that is still singular."""
+    G[np.diag_indices_from(G)] += TIKHONOV * max(1.0, float(np.max(G.diagonal().real)))
+    try:
+        return np.linalg.solve(G, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(G, rhs, rcond=None)[0]
+
+
 def objective(Y: np.ndarray, x: np.ndarray, K: int, L: int) -> float:
     """Squared Frobenius misfit of the packed complex parameter vector."""
     r = Y.ravel(order="F") - _Linearisation(x, Y.shape, K, L).model()
@@ -230,12 +257,7 @@ class _Dogleg:
 
     def solve(self, G: np.ndarray) -> None:
         """Gauss-Newton step from G = J^H J, overwritten with its Tikhonov-regularised form."""
-        lam = TIKHONOV * max(1.0, float(np.max(G.diagonal().real)))
-        G[np.diag_indices_from(G)] += lam
-        try:
-            self.d_gn = np.linalg.solve(G, self.g)
-        except np.linalg.LinAlgError:
-            self.d_gn = np.linalg.lstsq(G, self.g, rcond=None)[0]
+        self.d_gn = _solve_normal(G, self.g)
         self.n_gn = np.linalg.norm(self.d_gn)
 
     def __call__(self, radius: float) -> np.ndarray:
@@ -306,6 +328,70 @@ def _run_gndl(y_vec, dims, K, L, x0, config):
     return x, res, it, converged, history
 
 
+def _als_sweep(R, x, dims, K, L):
+    """One ALS sweep from packed x; returns (x_new, residual at x_new).
+
+    A, then B, then h is each the regularised least-squares solution with
+    the other two held (De Lathauwer & Nion, SIAM J. Matrix Anal. Appl.
+    30(3), 2008). R is vec(Y) as an (N, T2*T1) array. The normal matrices
+    are _gramian's diagonal blocks without their identity factors,
+        A: (h_k^H h_q)(B_k^H B_q),   B: (h_k^H h_q)(A_k^H A_q),   h: <W_k, W_q>,
+    and the right-hand sides are Y contracted as in _Linearisation.rmatvec,
+    so a sweep costs two KL x KL solves and one K x K solve.
+    """
+    T1, T2, N = dims
+    _, B, h = _stacked(x, dims, K, L)
+    Rh = (h.conj() @ R).reshape(K, T2, T1)                          # Y x_3 conj(h_k)
+    hh = (h.conj() @ h.T)[:, None, :, None]
+    Bc = B.conj()
+    a = _solve_normal((np.tensordot(Bc, B, axes=(1, 1)) * hh).reshape(K * L, K * L),
+                      (Bc.transpose(0, 2, 1) @ Rh).reshape(K * L, T1))
+    A = a.reshape(K, L, T1).transpose(0, 2, 1)
+    Ac = A.conj()
+    b = _solve_normal((np.tensordot(Ac, A, axes=(1, 1)) * hh).reshape(K * L, K * L),
+                      (Ac.transpose(0, 2, 1) @ Rh.transpose(0, 2, 1)).reshape(K * L, T2))
+    B = b.reshape(K, L, T2).transpose(0, 2, 1)
+    Wt = (B @ A.transpose(0, 2, 1)).reshape(K, -1)                  # W_k^T, flat
+    h = _solve_normal(Wt.conj() @ Wt.T, Wt.conj() @ R.T)
+    x_new = np.concatenate([a.reshape(K, -1), b.reshape(K, -1), h], axis=1).ravel()
+    return x_new, float(np.linalg.norm(R - h.T @ Wt))
+
+
+def _run_als(y_vec, dims, K, L, x0, config):
+    """One ALS descent from x0; returns (x, residual, sweeps, converged, history).
+
+    After sweep `it` from x, the extrapolated point x + it^(1/3) (x_sweep - x)
+    replaces the sweep's point when its residual is lower. The descent ends
+    at an exact fit, after a sweep that lowers the residual by less than
+    ALS_REL_RESIDUAL_TOL of it, or after max_iterations sweeps. A sweep that
+    does not lower it at all leaves x where it was: from there the next one
+    would do the same.
+    """
+    T1, T2, N = dims
+    R = y_vec.reshape(N, T2 * T1)
+    exact = EXACT_FIT * float(np.linalg.norm(y_vec))
+    x = x0
+    res = float(np.linalg.norm(y_vec - _Linearisation(x, dims, K, L).model()))
+    history = [res]
+    converged = res <= exact
+    it = 0
+    while not converged and it < config.max_iterations:
+        it += 1
+        x_new, res_new = _als_sweep(R, x, dims, K, L)
+        if it > 1:
+            x_ls = x + it ** (1 / 3) * (x_new - x)
+            res_ls = float(np.linalg.norm(y_vec - _Linearisation(x_ls, dims, K, L).model()))
+            if res_ls < res_new:
+                x_new, res_new = x_ls, res_ls
+        if not res_new < res:
+            converged = bool(np.isfinite(res_new))
+            break
+        converged = res - res_new < ALS_REL_RESIDUAL_TOL * res or res_new <= exact
+        x, res = x_new, res_new
+        history.append(res)
+    return x, res, it, converged, history
+
+
 def _model(x, dims, K, L) -> BTDModel:
     """The packed factors x as a model, each term's factors as views of x."""
     return BTDModel(terms=tuple(BlockTerm(A=A, B=B, h=h)
@@ -328,7 +414,7 @@ def init_random(dims, K: int, L: int, seed) -> BTDModel:
     return BTDModel(terms=tuple(terms))
 
 
-_pool = None   # (workers, ProcessPoolExecutor) once a pooled map has needed one
+_pool = None   # (processes, ProcessPoolExecutor) once a pooled map has needed one
 _in_worker = False   # set in pool workers, whose maps run in process
 
 
@@ -358,22 +444,27 @@ def pool_map(fn, jobs, workers: int) -> list:
 
     With workers > 1 and at least two jobs they run in one process pool,
     forked after the BLAS pin, kept for the life of the process, and rebuilt
-    when workers changes or a worker dies. Inside a pool worker, and
-    otherwise, they run here in order, so pools never nest. fn must be
-    reachable by name from its module. Returns once every job has finished.
+    when its size changes or a worker dies. The pool has one process per
+    usable CPU at most: a second process pinned to a CPU runs nothing more
+    at once, and it fixes which jobs share that CPU before their lengths
+    are known, where free processes pulling the next job balance the load.
+    Inside a pool worker, and otherwise, they run here in order, so pools
+    never nest. fn must be reachable by name from its module. Returns once
+    every job has finished.
     """
     if workers == 1 or len(jobs) < 2 or _in_worker:
         return [fn(*job) for job in jobs]
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     from multiprocessing import Value
     global _pool
-    if _pool is not None and _pool[0] != workers:
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    processes = min(workers, len(cpus) or workers)
+    if _pool is not None and _pool[0] != processes:
         shutdown_pool()
     if _pool is None:
         blas.pin_to_one_thread()
-        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-        _pool = workers, ProcessPoolExecutor(workers, initializer=_start_worker,
-                                             initargs=(Value("i", 0), cpus))
+        _pool = processes, ProcessPoolExecutor(processes, initializer=_start_worker,
+                                               initargs=(Value("i", 0), cpus))
     try:
         return list(_pool[1].map(fn, *zip(*jobs)))
     except BrokenProcessPool:
@@ -381,25 +472,30 @@ def pool_map(fn, jobs, workers: int) -> list:
         raise
 
 
-def _descents(jobs, workers: int):
-    """_run_gndl(*job) for each job, in order, in waves of `workers` through
+def _descents(descent, jobs, workers: int):
+    """descent(*job) for each job, in order, in waves of `workers` through
     pool_map. A scan that stops early leaves nothing queued or running."""
     for start in range(0, len(jobs), workers):
-        yield from pool_map(_run_gndl, jobs[start:start + workers], workers)
+        yield from pool_map(descent, jobs[start:start + workers], workers)
 
 
 def gndl_fit(Y: np.ndarray, K: int, L: int, config: SolverConfig,
              init: BTDModel | None = None, accept=None) -> SolveResult:
-    """GN-dogleg fit of K rank-(L,L,1) terms to Y from several restarts.
+    """Fit K rank-(L,L,1) terms to Y from several starts: ALS descents
+    certified by ``accept``, then GN-dogleg descents.
 
-    Restarts are scanned in order. The fit returns the first restart whose
-    model ``accept(model)`` approves, and otherwise the restart with the
-    least residual; an exact fit also ends the scan. Only scanned restarts
-    count in ``restart_iterations``.
+    The starts are ``init``, if given, then random points. With ``accept``,
+    an ALS descent runs from each start in order, and the fit returns the
+    first whose model ``accept(model)`` approves: the check certifies the
+    model, so it needs no Gauss-Newton polish. When none is approved, and
+    always without ``accept``, a GN-dogleg descent runs from each start in
+    order. The fit returns the first that ``accept`` approves, and otherwise
+    the one with the least residual; an exact fit also ends that scan.
+    ``restart_iterations`` counts every scanned descent, ALS first.
 
-    The winning restart's factors are returned as fitted. Each term is fixed
-    only up to an invertible L x L factor between A and B and a scale between
-    A B^T and h; the demapper reads column spaces, which this leaves alone.
+    The returned factors are as fitted. Each term is fixed only up to an
+    invertible L x L factor between A and B and a scale between A B^T and h;
+    the demapper reads column spaces, which this leaves alone.
     """
     blas.pin_to_one_thread()
     Y = check_finite(np.asarray(Y, dtype=np.complex128))
@@ -416,25 +512,34 @@ def gndl_fit(Y: np.ndarray, K: int, L: int, config: SolverConfig,
                for restart in range(len(models), config.restarts)]
     jobs = [(y_vec, dims, K, L, pack_factors([(t.A, t.B, t.h) for t in m.terms]), config)
             for m in models]
-    best = None
     restart_iterations = []
-    for restart, (x, res, iters, converged, history) in enumerate(
-            _descents(jobs, config.workers)):
-        restart_iterations.append(iters)
-        if not np.isfinite(res):
-            continue
-        outcome = (x, res, iters, converged, history, restart)
-        if accept is not None and accept(_model(x, dims, K, L)):
-            best = outcome
-            break
-        if best is None or res < best[1]:
-            best = outcome
-        if converged and res / y_norm < 1e-10:
-            break
+    best = None
+    if accept is not None:
+        for restart, (x, res, iters, converged, history) in enumerate(
+                _descents(_run_als, jobs, config.workers)):
+            restart_iterations.append(iters)
+            if np.isfinite(res) and accept(_model(x, dims, K, L)):
+                best = (x, res, iters, converged, history, restart, "als")
+                break
+    als_starts = len(restart_iterations)
+    if best is None:
+        for restart, (x, res, iters, converged, history) in enumerate(
+                _descents(_run_gndl, jobs, config.workers)):
+            restart_iterations.append(iters)
+            if not np.isfinite(res):
+                continue
+            outcome = (x, res, iters, converged, history, restart, "gn")
+            if accept is not None and accept(_model(x, dims, K, L)):
+                best = outcome
+                break
+            if best is None or res < best[1]:
+                best = outcome
+            if converged and res / y_norm < EXACT_FIT:
+                break
     if best is None:
         raise SolverFailure("all restarts diverged")
 
-    x, res, iters, converged, history, restart = best
+    x, res, iters, converged, history, restart, engine = best
     return SolveResult(
         model=_model(x, dims, K, L),
         relative_residual=res / y_norm,
@@ -443,5 +548,6 @@ def gndl_fit(Y: np.ndarray, K: int, L: int, config: SolverConfig,
         restart_index=restart,
         residual_history=tuple(history),
         restart_iterations=tuple(restart_iterations),
+        engine=engine,
+        als_starts=als_starts,
     )
-

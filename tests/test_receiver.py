@@ -258,13 +258,18 @@ class TestEarlyStop:
     def test_surplus_terms_scan_every_restart(self, monkeypatch):
         Y, _, _ = self.scene(1)
         decoded, diag = self.demodulate(Y, 5)
-        assert diag.restarts_run == 5
+        assert (diag.restarts_run, diag.als_starts) == (10, 5)
 
         def best_of_restarts(Y, K, L, cfg, accept=None):
             return solver.gndl_fit(Y, K, L, cfg)
 
         monkeypatch.setattr(receiver, "gndl_fit", best_of_restarts)
-        assert self.demodulate(Y, 5) == (decoded, diag)
+        # The same answer as the GN scan alone, after five rejected ALS starts.
+        best_decoded, best_diag = self.demodulate(Y, 5)
+        assert best_decoded == decoded
+        assert best_diag.total_iterations < diag.total_iterations
+        assert replace(best_diag, restarts_run=10, als_starts=5,
+                       total_iterations=diag.total_iterations) == diag
 
     def test_accepted_demap_is_reused(self, monkeypatch):
         Y, sent, _ = self.scene(1)
@@ -309,7 +314,7 @@ class TestEarlyStop:
             _, diag = self.demodulate(Y, K)
             assert diag.restarts_run == len(fits[-1].restart_iterations)
             assert diag.total_iterations == sum(fits[-1].restart_iterations)
-        assert [len(f.restart_iterations) for f in fits] == [1, 5]
+        assert [len(f.restart_iterations) for f in fits] == [1, 10]
 
     def test_stop_fires_on_most_desk_scenes(self):
         # Work gate with no clock in it: at 12 dB restart 0 usually decodes
@@ -427,7 +432,7 @@ class TestGroups:
             SolverConfig(seed=0, restarts=5), max_workers=w) for w in (1, 2)))
         assert decoded[0] == decoded[1] == scenes[0][1] | scenes[1][1]
         assert diags[0] == diags[1]
-        assert [d.pass_diags[0].restarts_run for d in diags[0]] == [2, 5]
+        assert [d.pass_diags[0].restarts_run for d in diags[0]] == [1, 10]
 
     @pytest.mark.parametrize("max_workers", [1, 2], ids=["serial", "process"])
     def test_failing_group_raises(self, max_workers):

@@ -337,7 +337,7 @@ class TestRestartPool:
     @staticmethod
     def assert_same(r1, r2):
         for name in ("relative_residual", "iterations", "converged", "restart_index",
-                     "residual_history", "restart_iterations"):
+                     "residual_history", "restart_iterations", "engine", "als_starts"):
             assert getattr(r1, name) == getattr(r2, name), name
         for t1, t2 in zip(r1.model.terms, r2.model.terms, strict=True):
             assert np.array_equal(t1.A, t2.A)
@@ -389,6 +389,13 @@ class TestRestartPool:
             time.sleep(0.05)
         assert sorted(min(mask) for mask in masks) == cpus[:2]
         assert os.sched_getaffinity(0) == set(cpus)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+    def test_one_process_per_usable_cpu_at_most(self):
+        cpus = len(os.sched_getaffinity(0))
+        solver.shutdown_pool()
+        assert solver.pool_map(abs, [(-i,) for i in range(8)], cpus + 2) == list(range(8))
+        assert len(multiprocessing.active_children()) == cpus
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
         _, Y = self.noisy_desk()
@@ -472,20 +479,25 @@ class TestAccept:
         cfg = solver.SolverConfig(seed=3, restarts=5, max_iterations=80)
         best = solver.gndl_fit(Y, 4, 2, cfg)
         res = solver.gndl_fit(Y, 4, 2, cfg, accept=self.accept_nth(2))
-        assert res.restart_index == 1
-        assert res.restart_iterations == best.restart_iterations[:2]
-        assert res.iterations == best.restart_iterations[1]
         never = solver.gndl_fit(Y, 4, 2, cfg, accept=lambda model: False)
-        TestRestartPool.assert_same(never, best)
+        assert res.restart_index == 1 and res.engine == "als"
+        assert res.restart_iterations == never.restart_iterations[:2]
+        assert res.iterations == never.restart_iterations[1]
+        # Every ALS start is scanned, then the GN scan runs as without accept.
+        assert never.restart_iterations[5:] == best.restart_iterations
+        TestRestartPool.assert_same(
+            replace(never, restart_iterations=never.restart_iterations[5:], als_starts=0), best)
 
     @pytest.mark.parametrize("n", [4, 0], ids=["accepts-restart-3", "accepts-none"])
     def test_independent_of_workers(self, n):
-        # With 5 restarts, 3 workers run a full wave and a partial one.
+        # With 5 restarts, 3 workers run a full wave and a partial one, of
+        # ALS starts, and when none is accepted, of GN restarts.
         _, Y = TestRestartPool.noisy_desk()
         cfg = solver.SolverConfig(seed=3, restarts=5, max_iterations=80)
         r1, r2, r3 = (solver.gndl_fit(Y, 4, 2, replace(cfg, workers=w),
                                       accept=self.accept_nth(n)) for w in (1, 2, 3))
-        assert len(r1.restart_iterations) == (n or 5)
+        assert len(r1.restart_iterations) == (n or 10)
+        assert (r1.engine, r1.als_starts) == (("als", 4) if n else ("gn", 5))
         TestRestartPool.assert_same(r1, r2)
         TestRestartPool.assert_same(r1, r3)
 
@@ -507,6 +519,74 @@ class TestAccept:
         assert res.restart_index == 0 and len(res.restart_iterations) == 1
         assert waves == [2]
         assert not solver._pool[1]._pending_work_items
+
+
+def _no_gn_descent(*_):
+    raise AssertionError("a GN descent ran")
+
+
+class TestAls:
+    """ALS descents (_run_als), and the scan that tries them before GN."""
+
+    @pytest.mark.parametrize("dims,K,L", SHAPES)
+    def test_block_updates_equal_dense_least_squares(self, rng, dims, K, L):
+        # Each block is the least-squares solution of the dense unfolded
+        # system, the other two blocks held at their latest values.
+        T1, T2, N = dims
+        Y = crandn(rng, *dims)
+        y = Y.ravel(order="F")
+        x = solver.pack_factors([(t.A, t.B, t.h) for t in random_model(rng, dims, K, L).terms])
+        x_new, res = solver._als_sweep(y.reshape(N, T2 * T1), x, dims, K, L)
+        na, nb = T1 * L, T2 * L
+        per = na + nb + N
+        old, new = x.reshape(K, per), x_new.reshape(K, per)
+        for block in (slice(0, na), slice(na, na + nb), slice(na + nb, per)):
+            point = new.copy()
+            point[:, block.start:] = old[:, block.start:]
+            factors = list(zip(*solver._stacked(point.ravel(), dims, K, L)))
+            J = _dense_jacobian(factors, dims, L).reshape(-1, K, per)[:, :, block]
+            want = np.linalg.lstsq(J.reshape(J.shape[0], -1), y, rcond=None)[0]
+            assert _rel_err(new[:, block].ravel(), want) <= 1e-8
+        assert res == pytest.approx(np.linalg.norm(y - synthesised(x_new, dims, K, L)),
+                                    rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_noise_free_reaches_exact_fit(self, seed):
+        dims, K, L = (10, 8, 8), 4, 2
+        truth = solver.init_random(dims, K, L, seed=(seed, 99))
+        y = tc.synthesize_received(truth).ravel(order="F")
+        x0 = solver.pack_factors([(t.A, t.B, t.h)
+                                  for t in solver.init_random(dims, K, L, seed=(seed, 0)).terms])
+        cfg = solver.SolverConfig(max_iterations=500)
+        x, res, sweeps, converged, history = solver._run_als(y, dims, K, L, x0, cfg)
+        assert converged and sweeps < 500
+        assert res <= 1e-10 * np.linalg.norm(y)
+        assert res == history[-1] and len(history) == sweeps + 1
+        assert res == pytest.approx(np.linalg.norm(y - synthesised(x, dims, K, L)), rel=1e-6)
+
+        warm = solver.pack_factors([(t.A, t.B, t.h) for t in truth.terms])
+        _, res, sweeps, converged, _ = solver._run_als(y, dims, K, L, warm, cfg)
+        assert converged and sweeps <= 3 and res <= 1e-10 * np.linalg.norm(y)
+
+    def test_residual_history_never_rises(self, rng):
+        dims, K, L = (10, 8, 8), 4, 2
+        model = random_model(rng, dims, K, L)
+        y = (tc.synthesize_received(model) + 0.3 * crandn(rng, *dims)).ravel(order="F")
+        x0 = solver.pack_factors([(t.A, t.B, t.h)
+                                  for t in solver.init_random(dims, K, L, seed=1).terms])
+        *_, history = solver._run_als(y, dims, K, L, x0, solver.SolverConfig(max_iterations=200))
+        assert len(history) > 10
+        assert all(b < a for a, b in zip(history, history[1:]))
+
+    def test_accepted_start_runs_no_gn(self, monkeypatch):
+        _, Y = TestRestartPool.noisy_desk()
+        monkeypatch.setattr(solver, "_run_gndl", _no_gn_descent)
+        res = solver.gndl_fit(Y, 4, 2, solver.SolverConfig(seed=3, restarts=5),
+                              accept=lambda model: True)
+        assert (res.engine, res.restart_index, res.als_starts) == ("als", 0, 1)
+        assert res.restart_iterations == (res.iterations,)
+        want = tc.frobenius(Y - tc.synthesize_received(res.model)) / tc.frobenius(Y)
+        assert res.relative_residual == pytest.approx(want, rel=1e-9)
 
 
 class TestStepReuse:
