@@ -1,7 +1,8 @@
 """Block-term-decomposition modulation (BTDM) for massive unsourced random access.
 
 Subpackages: tensor_core (block-term tensor arithmetic), codec (Grassmann
-constellation encode/demap), solver (Gauss-Newton dogleg BTD fit), outer_code
+constellation encode/demap), solver (BTD fit by alternating least squares
+starts with a Gauss-Newton dogleg fallback), outer_code
 (shortened BCH), channel (faded tensor synthesis), receiver (demodulation
 pipeline with successive cancellation and grouping), harness (Monte-Carlo
 sweeps) and cli (command-line entry point).

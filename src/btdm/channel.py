@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec
-from .tensor_core import BTDModel, BlockTerm, synthesize_received
+from .tensor_core import BTDModel, BlockTerm, complex_gaussian, synthesize_received
 
 
 @dataclass(frozen=True)
@@ -28,11 +28,6 @@ class ChannelConfig:
             raise ValueError("n_antennas and n_users must be >= 1")
         if self.symbol_energy <= 0:
             raise ValueError("symbol_energy must be positive")
-
-
-def complex_gaussian(rng: np.random.Generator, *shape) -> np.ndarray:
-    """Standard complex Gaussian: unit variance per complex entry."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
 def sample_channels(K: int, N: int, rng: np.random.Generator) -> np.ndarray:

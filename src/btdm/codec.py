@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 # demap_symbol's full-rank test: an estimate is rank deficient when the
 # smallest |diagonal of R| of its QR is at most RANK_TOL times the largest.
@@ -27,6 +27,14 @@ RANK_TOL = 1e-10
 DET_TOL = 1e-12
 # Radial clamp for disc points pushed outside the unit circle by noise.
 CLAMP_RADIUS = 1.0 - 1e-9
+# The standard normal whose quantiles place the cube-split cells.
+_NORMAL = NormalDist()
+# Longest coordinate part bit_budget allows.  The cells of a b-bit part
+# nearest the centre and the tails put 1 - r^2 or 1 - e^(-|w|^2/2) within
+# about 2^(-2b) of 1, so each added bit quadruples the float64 error of the
+# round trip: at 24 bits a cell comes back within 0.4% of a cell width of its
+# centre, and from 27 bits on some cells come back as a neighbour.
+MAX_PART_BITS = 24
 
 
 class DemapFailure(Exception):
@@ -53,7 +61,8 @@ def bit_budget(T: int, L: int, ell: int) -> tuple[int, int, tuple[int, ...]]:
 
     Returns (ell1, ell2, part_lengths).  Coordinate bits are divided as evenly
     as possible; the longer parts go to the lowest part indices.  Zero-length
-    parts are allowed (the corresponding quantile index is fixed to 0).
+    parts are allowed (the corresponding quantile index is fixed to 0); parts
+    longer than MAX_PART_BITS are not.
     """
     if L == 2:
         if T < 3:
@@ -72,6 +81,9 @@ def bit_budget(T: int, L: int, ell: int) -> tuple[int, int, tuple[int, ...]]:
     ell2 = ell - ell1
     base, extra = divmod(ell2, n_parts)
     parts = tuple(base + 1 if i < extra else base for i in range(n_parts))
+    if parts[0] > MAX_PART_BITS:
+        raise ValueError(f"coordinate parts of {parts[0]} bits exceed the "
+                         f"{MAX_PART_BITS}-bit cube-split limit")
     return ell1, ell2, parts
 
 
@@ -136,18 +148,20 @@ def bits_from_pair(p: int, q: int, T: int, ell1: int) -> np.ndarray:
 def cube_split_scalar(x_odd: int, x_even: int, L_odd: int, L_even: int) -> complex:
     """Map two quantile indices to a point strictly inside the unit disc.
 
-    omega = ndtri((2*x_odd+1) / 2^(L_odd+1)) + 1j * ndtri((2*x_even+1) / 2^(L_even+1));
+    omega = Q((2*x_odd+1) / 2^(L_odd+1)) + 1j * Q((2*x_even+1) / 2^(L_even+1)),
+    with Q the standard normal quantile;
     the radius is compressed by sqrt((1 - e^(-|w|^2/2)) / (1 + e^(-|w|^2/2))).
     """
     for x, Lb, name in ((x_odd, L_odd, "x_odd"), (x_even, L_even, "x_even")):
         if not (0 <= x < (1 << Lb)):
             raise ValueError(f"{name}={x} out of range for {Lb} bits")
-    w = ndtri((2 * x_odd + 1) / 2 ** (L_odd + 1)) + 1j * ndtri((2 * x_even + 1) / 2 ** (L_even + 1))
+    w = complex(_NORMAL.inv_cdf((2 * x_odd + 1) / 2 ** (L_odd + 1)),
+                _NORMAL.inv_cdf((2 * x_even + 1) / 2 ** (L_even + 1)))
     r = abs(w)
     if r == 0.0:
         return 0j
     e = math.exp(-r * r / 2.0)
-    return complex(math.sqrt((1.0 - e) / (1.0 + e)) / r * w)
+    return math.sqrt((1.0 - e) / (1.0 + e)) / r * w
 
 
 def inverse_cube_split(alpha: complex, L_odd: int, L_even: int) -> tuple[int, int]:
@@ -166,8 +180,8 @@ def inverse_cube_split(alpha: complex, L_odd: int, L_even: int) -> tuple[int, in
         r2 = r * r
         R = math.sqrt(-2.0 * math.log((1.0 - r2) / (1.0 + r2)))
         w = R / r * alpha
-    x_odd = min((1 << L_odd) - 1, max(0, int(math.floor(ndtr(w.real) * (1 << L_odd)))))
-    x_even = min((1 << L_even) - 1, max(0, int(math.floor(ndtr(w.imag) * (1 << L_even)))))
+    x_odd = min((1 << L_odd) - 1, max(0, int(math.floor(_NORMAL.cdf(w.real) * (1 << L_odd)))))
+    x_even = min((1 << L_even) - 1, max(0, int(math.floor(_NORMAL.cdf(w.imag) * (1 << L_even)))))
     return x_odd, x_even
 
 

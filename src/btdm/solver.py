@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blas
-from .tensor_core import BTDModel, BlockTerm, check_finite
+from .tensor_core import BTDModel, BlockTerm, check_finite, complex_gaussian
 
 TIKHONOV = 1e-12
 # Trust region: the initial radius relative to max(1, ||x0||), its cap, and
@@ -402,15 +402,11 @@ def init_random(dims, K: int, L: int, seed) -> BTDModel:
     """Random model: Gaussian factors with A, B column-orthonormalized."""
     rng = np.random.default_rng(seed)
     T1, T2, N = dims
-
-    def gauss(*shape):
-        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
     terms = []
     for _ in range(K):
-        A = np.linalg.qr(gauss(T1, L))[0]
-        B = np.linalg.qr(gauss(T2, L))[0]
-        terms.append(BlockTerm(A=A, B=B, h=gauss(N)))
+        A = np.linalg.qr(complex_gaussian(rng, T1, L))[0]
+        B = np.linalg.qr(complex_gaussian(rng, T2, L))[0]
+        terms.append(BlockTerm(A=A, B=B, h=complex_gaussian(rng, N)))
     return BTDModel(terms=tuple(terms))
 
 

@@ -24,6 +24,11 @@ def check_finite(tensor: np.ndarray) -> np.ndarray:
     return tensor
 
 
+def complex_gaussian(rng: np.random.Generator, *shape) -> np.ndarray:
+    """Standard complex Gaussian: unit variance per complex entry."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
 @dataclass(frozen=True)
 class BlockTerm:
     """One user's factor triple (A: T1xL, B: T2xL, h: length-N).

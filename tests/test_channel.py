@@ -10,7 +10,7 @@ from btdm import tensor_core as tc
 class TestComplexGaussian:
     def test_moments(self):
         rng = np.random.default_rng(7)
-        z = channel.complex_gaussian(rng, 200_000)
+        z = tc.complex_gaussian(rng, 200_000)
         assert abs(np.mean(z)) <= 0.01
         assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, abs=0.01)
         # Real and imaginary parts each carry half the variance.

@@ -74,6 +74,13 @@ class TestEncodeDecode:
         assert code == want
         assert out == "" and err
 
+    def test_encode_rejects_parts_too_long_to_round_trip(self, capsys):
+        # T=3, L=2, 300 bits: four coordinate parts of 74-75 bits.
+        code, out, err = run(["encode", "--t", "3", "--l", "2", "--ell", "300",
+                              "--bits", "f" * 75], capsys)
+        assert code == cli.EXIT_CONFIG
+        assert out == "" and "cube-split" in err
+
     def test_encode_rejects_oversized_hex(self, capsys):
         code, _, err = run(["encode", "--t", "8", "--l", "2",
                             "--bits", "fff", "--ell", "8"], capsys)
@@ -172,6 +179,13 @@ class TestCheckParams:
         assert code == 0
         assert "K_bar=7" in out
         assert "bits/channel use" in out
+
+    def test_parts_too_long_to_round_trip(self, capsys):
+        code, out, err = run(["check-params", "--set", "t1=3", "--set", "b1=300",
+                              "--set", "b2=28", "--set", "b_bch=328",
+                              "--set", "use_outer_code=false"], capsys)
+        assert code == cli.EXIT_CONFIG
+        assert out == "" and "infeasible bit budget" in err
 
     def test_full_scale_point(self, capsys):
         code, out, _ = run(["check-params",

@@ -1,5 +1,4 @@
 import math
-from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -44,6 +43,25 @@ class TestBitBudget:
         with pytest.raises(ValueError):
             codec.CodecParams(4, 2, 10, f=1.2)
 
+    def test_longest_part_round_trips(self):
+        # The extreme and central cells of both coordinates, at the longest
+        # part bit_budget allows, come back as the cell they started from.
+        b = codec.MAX_PART_BITS
+        n = 1 << b
+        cells = [*range(4), *range(n // 2 - 2, n // 2 + 2), *range(n - 4, n)]
+        for lo, le in ((b, b), (b, b - 1)):
+            for xo in cells:
+                for xe in (x >> (b - le) for x in cells):
+                    alpha = codec.cube_split_scalar(xo, xe, lo, le)
+                    assert codec.inverse_cube_split(alpha, lo, le) == (xo, xe)
+
+    def test_longer_part_is_rejected(self):
+        # T=3, L=2: ell1 = 1 and 4 coordinate parts.
+        _, _, parts = codec.bit_budget(3, 2, 1 + 4 * codec.MAX_PART_BITS)
+        assert parts == (codec.MAX_PART_BITS,) * 4
+        with pytest.raises(ValueError, match="cube-split"):
+            codec.bit_budget(3, 2, 2 + 4 * codec.MAX_PART_BITS)
+
     def test_params_derive_the_budget(self):
         params = codec.CodecParams(30, 2, 124)
         assert (params.ell1, params.ell2, params.part_lengths) == codec.bit_budget(30, 2, 124)
@@ -74,15 +92,32 @@ class TestPairInjection:
             codec.bits_from_pair(29, 30, 30, 8)
 
 
+def normal_quantile(p):
+    """Standard normal quantile by bisection on the CDF 0.5 * erfc(-q / sqrt(2))."""
+    lo, hi = -10.0, 10.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if 0.5 * math.erfc(-mid / math.sqrt(2)) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestCubeSplit:
     def test_quantile_oracle(self):
-        # Independent oracle: stdlib NormalDist quantiles + direct formula.
-        alpha = codec.cube_split_scalar(0, 0, 1, 1)
-        w = NormalDist().inv_cdf(0.25) * (1 + 1j)
-        e = math.exp(-abs(w) ** 2 / 2)
-        expected = math.sqrt((1 - e) / (1 + e)) * w / abs(w)
-        assert alpha == pytest.approx(expected, abs=1e-12)
-        assert alpha.real == pytest.approx(-0.3344, abs=5e-5)
+        # Independent oracle: quantiles by bisection, then the closed form
+        # at every cell centre of parts up to 8 bits.
+        quantiles = {(b, x): normal_quantile((2 * x + 1) / 2 ** (b + 1))
+                     for b in range(9) for x in range(1 << b)}
+        for (lo, xo), qo in quantiles.items():
+            for (le, xe), qe in quantiles.items():
+                w = complex(qo, qe)
+                alpha = codec.cube_split_scalar(xo, xe, lo, le)
+                e = math.exp(-abs(w) ** 2 / 2)
+                expected = math.sqrt((1 - e) / (1 + e)) * w / abs(w)
+                assert abs(alpha - expected) <= 1e-12, (lo, xo, le, xe)
+        assert codec.cube_split_scalar(0, 0, 1, 1).real == pytest.approx(-0.3344, abs=5e-5)
 
     def test_negation_symmetry(self):
         assert codec.cube_split_scalar(1, 1, 1, 1) == pytest.approx(

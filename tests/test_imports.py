@@ -1,7 +1,11 @@
-"""Every module under src/btdm and tests uses each name it imports, and every
-module-private top-level name in src/btdm is read in its own module."""
+"""Every module under src/btdm and tests uses each name it imports, every
+module-private top-level name in src/btdm is read in its own module, and a
+trial runs on numpy alone."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +82,21 @@ def test_detects_unread_private_name():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_private_names_are_read(path):
     assert unread_private_names(path.read_text()) == []
+
+
+def test_a_trial_imports_no_scipy():
+    # numpy is the package's only dependency: one noisy desk trial (build,
+    # transmit, demodulate) must not pull scipy in.
+    code = ("import sys\n"
+            "from btdm import harness\n"
+            "cfg = harness.ExperimentConfig(restarts=2)\n"
+            "components = harness.build_components(cfg)\n"
+            "pupe, _, _ = harness.run_trial(cfg, *components, ebn0_db=12.0, K=4, cell=0, trial=0)\n"
+            "print(pupe, *sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+    src = str(ROOT / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0.0"]
