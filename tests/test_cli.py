@@ -173,6 +173,44 @@ class TestSimulate:
         assert "b_bch" in err
 
 
+def without_runtime(csv_text: str) -> list[list[str]]:
+    """The CSV's cells, less the wall-clock column `mean_runtime_ms`."""
+    rows = [line.split(",") for line in csv_text.strip().split("\n")]
+    drop = rows[0].index("mean_runtime_ms")
+    return [row[:drop] + row[drop + 1:] for row in rows]
+
+
+class TestGoldenSweeps:
+    """Seeded `btdm simulate` sweeps against CSVs stored under tests/data.
+
+    Each stored CSV was written by the command with `workers=1`. Every column
+    but `mean_runtime_ms` must come out the same: PUPE, its interval and
+    `mean_solver_iters` follow every accept/reject decision of every fit, so
+    a change that moves an iterate by one rounding step usually moves them.
+    """
+
+    SWEEPS = {
+        "simulate_seed3.csv": "--seed 3 --set ebn0_list=8,12 --set trials=12",
+        "simulate_seed21.csv": ("--seed 21 --set k_list=7 --set ebn0_list=16 --set trials=6 "
+                                "--set restarts=2 --set sc_iterations=1"),
+        "simulate_seed4.csv": ("--seed 4 --set l=1 --set k_list=4 --set ebn0_list=4 "
+                               "--set trials=8 --set restarts=2"),
+        "simulate_seed5.csv": ("--seed 5 --set groups=2 --set k_list=8 --set ebn0_list=12 "
+                               "--set trials=8 --set restarts=2 --set max_iterations=100"),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("golden", sorted(SWEEPS))
+    def test_matches_stored_csv(self, capsys, tmp_path, golden, workers):
+        out_path = tmp_path / golden
+        argv = ["simulate", *self.SWEEPS[golden].split(), "--set", f"workers={workers}",
+                "--out", str(out_path)]
+        code, _, _ = run(argv, capsys)
+        assert code == 0
+        assert without_runtime(out_path.read_text()) == \
+            without_runtime((DATA / golden).read_text())
+
+
 class TestCheckParams:
     def test_default_report(self, capsys):
         code, out, _ = run(["check-params"], capsys)
