@@ -162,6 +162,18 @@ class _Linearisation:
                               axis=1).ravel()
 
 
+def _gram_blocks(rows_c, rows, hh) -> np.ndarray:
+    """(h_k^H h_q)(F_k^H F_q) as a (K, L, K, L) array, the (k, l, q, m) entry.
+
+    Row k*L + l of ``rows`` (K*L, T) is column l of the factor F_k, so the
+    Grams of every pair of terms are one matrix product; ``rows_c`` is its
+    conjugate and ``hh`` the (K, K) matrix h_k^H h_q.
+    """
+    K = len(hh)
+    L = len(rows) // K
+    return (rows_c @ rows.T).reshape(K, L, K, L) * hh[:, None, :, None]
+
+
 def _gramian(lin: _Linearisation, out: np.ndarray) -> np.ndarray:
     """J^H J at the point of ``lin``, assembled from the factors' small Grams.
 
@@ -189,8 +201,10 @@ def _gramian(lin: _Linearisation, out: np.ndarray) -> np.ndarray:
     Ws = lin.Wt.reshape(K, T2, T1).transpose(0, 2, 1)  # (K, T1, T2)
     Ac, Bc, Hc = As.conj(), Bs.conj(), Hs.conj()
     hh = Hc @ Hs.T                                   # (k, q)
-    BhB = np.tensordot(Bc, Bs, axes=(1, 1)) * hh[:, None, :, None]   # (k, l, q, m)
-    AhA = np.tensordot(Ac, As, axes=(1, 1)) * hh[:, None, :, None]
+    BhB = _gram_blocks(Bc.transpose(0, 2, 1).reshape(-1, T2),        # (k, l, q, m)
+                       Bs.transpose(0, 2, 1).reshape(-1, T2), hh)
+    AhA = _gram_blocks(Ac.transpose(0, 2, 1).reshape(-1, T1),
+                       As.transpose(0, 2, 1).reshape(-1, T1), hh)
     WhW = lin.Wt.conj() @ lin.Wt.T
     WBc = (Ws[None] @ Bc[:, None]).transpose(0, 3, 2, 1)                # (k, l, i, q)
     WAc = (Ws.transpose(0, 2, 1)[None] @ Ac[:, None]).transpose(0, 3, 2, 1)  # (k, l, j, q)
@@ -217,7 +231,8 @@ def _gramian(lin: _Linearisation, out: np.ndarray) -> np.ndarray:
 def _solve_normal(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """G^{-1} rhs for a Hermitian normal matrix G, overwritten with its
     Tikhonov-regularised form; least squares if that is still singular."""
-    G[np.diag_indices_from(G)] += TIKHONOV * max(1.0, float(np.max(G.diagonal().real)))
+    diagonal = np.einsum("ii->i", G)                 # a writable view
+    diagonal += TIKHONOV * max(1.0, float(diagonal.real.max()))
     try:
         return np.linalg.solve(G, rhs)
     except np.linalg.LinAlgError:
@@ -328,6 +343,21 @@ def _run_gndl(y_vec, dims, K, L, x0, config):
     return x, res, it, converged, history
 
 
+def _flat_w(a, b, K, L) -> np.ndarray:
+    """W_k^T = B_k A_k^T for every term, flattened to (K, T2*T1), from the
+    packed entries of A (vec(A_k) per term, in K rows or K*L rows of T1) and
+    of B likewise."""
+    return (b.reshape(K, L, -1).transpose(0, 2, 1) @ a.reshape(K, L, -1)).reshape(K, -1)
+
+
+def _residual(R, x, dims, K, L) -> float:
+    """||Y - model(x)|| by one synthesis; R is vec(Y) as an (N, T2*T1) array."""
+    na, nb, _ = _factor_sizes(dims, L)
+    X = x.reshape(K, -1)
+    Wt = _flat_w(X[:, :na], X[:, na:na + nb], K, L)
+    return float(np.linalg.norm(R - X[:, na + nb:].T @ Wt))
+
+
 def _als_sweep(R, x, dims, K, L):
     """One ALS sweep from packed x; returns (x_new, residual at x_new).
 
@@ -337,21 +367,24 @@ def _als_sweep(R, x, dims, K, L):
     are _gramian's diagonal blocks without their identity factors,
         A: (h_k^H h_q)(B_k^H B_q),   B: (h_k^H h_q)(A_k^H A_q),   h: <W_k, W_q>,
     and the right-hand sides are Y contracted as in _Linearisation.rmatvec,
-    so a sweep costs two KL x KL solves and one K x K solve.
+    so a sweep costs two KL x KL solves and one K x K solve. A and B are
+    held as their packed rows (K*L, T1) and (K*L, T2), row k*L + l being
+    column l of the term's factor, so that each Gram is one matrix product.
     """
     T1, T2, N = dims
-    _, B, h = _stacked(x, dims, K, L)
-    Rh = (h.conj() @ R).reshape(K, T2, T1)                          # Y x_3 conj(h_k)
-    hh = (h.conj() @ h.T)[:, None, :, None]
-    Bc = B.conj()
-    a = _solve_normal((np.tensordot(Bc, B, axes=(1, 1)) * hh).reshape(K * L, K * L),
-                      (Bc.transpose(0, 2, 1) @ Rh).reshape(K * L, T1))
-    A = a.reshape(K, L, T1).transpose(0, 2, 1)
-    Ac = A.conj()
-    b = _solve_normal((np.tensordot(Ac, A, axes=(1, 1)) * hh).reshape(K * L, K * L),
-                      (Ac.transpose(0, 2, 1) @ Rh.transpose(0, 2, 1)).reshape(K * L, T2))
-    B = b.reshape(K, L, T2).transpose(0, 2, 1)
-    Wt = (B @ A.transpose(0, 2, 1)).reshape(K, -1)                  # W_k^T, flat
+    na, nb, _ = _factor_sizes(dims, L)
+    X = x.reshape(K, -1)
+    b = X[:, na:na + nb].reshape(K * L, T2)
+    hc = X[:, na + nb:].conj()
+    Rh = (hc @ R).reshape(K, T2, T1)                                # Y x_3 conj(h_k)
+    hh = hc @ X[:, na + nb:].T
+    bc = b.conj()
+    a = _solve_normal(_gram_blocks(bc, b, hh).reshape(K * L, K * L),
+                      (bc.reshape(K, L, T2) @ Rh).reshape(K * L, T1))
+    ac = a.conj()
+    b = _solve_normal(_gram_blocks(ac, a, hh).reshape(K * L, K * L),
+                      (ac.reshape(K, L, T1) @ Rh.transpose(0, 2, 1)).reshape(K * L, T2))
+    Wt = _flat_w(a, b, K, L)
     h = _solve_normal(Wt.conj() @ Wt.T, Wt.conj() @ R.T)
     x_new = np.concatenate([a.reshape(K, -1), b.reshape(K, -1), h], axis=1).ravel()
     return x_new, float(np.linalg.norm(R - h.T @ Wt))
@@ -371,7 +404,7 @@ def _run_als(y_vec, dims, K, L, x0, config):
     R = y_vec.reshape(N, T2 * T1)
     exact = EXACT_FIT * float(np.linalg.norm(y_vec))
     x = x0
-    res = float(np.linalg.norm(y_vec - _Linearisation(x, dims, K, L).model()))
+    res = _residual(R, x, dims, K, L)
     history = [res]
     converged = res <= exact
     it = 0
@@ -380,7 +413,7 @@ def _run_als(y_vec, dims, K, L, x0, config):
         x_new, res_new = _als_sweep(R, x, dims, K, L)
         if it > 1:
             x_ls = x + it ** (1 / 3) * (x_new - x)
-            res_ls = float(np.linalg.norm(y_vec - _Linearisation(x_ls, dims, K, L).model()))
+            res_ls = _residual(R, x_ls, dims, K, L)
             if res_ls < res_new:
                 x_new, res_new = x_ls, res_ls
         if not res_new < res:

@@ -525,6 +525,38 @@ def _no_gn_descent(*_):
     raise AssertionError("a GN descent ran")
 
 
+def _reference_solve_normal(G, rhs):
+    """_solve_normal with the Tikhonov term added through diag_indices_from."""
+    G[np.diag_indices_from(G)] += solver.TIKHONOV * max(1.0, float(np.max(G.diagonal().real)))
+    try:
+        return np.linalg.solve(G, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(G, rhs, rcond=None)[0]
+
+
+def _reference_als_sweep(R, x, dims, K, L):
+    """_als_sweep through the stacked factor views and tensordot Grams: the
+    same floating-point operations in a different layout, as an oracle."""
+    T1, T2, N = dims
+    _, B, h = solver._stacked(x, dims, K, L)
+    Rh = (h.conj() @ R).reshape(K, T2, T1)
+    hh = (h.conj() @ h.T)[:, None, :, None]
+    Bc = B.conj()
+    a = _reference_solve_normal(
+        (np.tensordot(Bc, B, axes=(1, 1)) * hh).reshape(K * L, K * L),
+        (Bc.transpose(0, 2, 1) @ Rh).reshape(K * L, T1))
+    A = a.reshape(K, L, T1).transpose(0, 2, 1)
+    Ac = A.conj()
+    b = _reference_solve_normal(
+        (np.tensordot(Ac, A, axes=(1, 1)) * hh).reshape(K * L, K * L),
+        (Ac.transpose(0, 2, 1) @ Rh.transpose(0, 2, 1)).reshape(K * L, T2))
+    B = b.reshape(K, L, T2).transpose(0, 2, 1)
+    Wt = (B @ A.transpose(0, 2, 1)).reshape(K, -1)
+    h = _reference_solve_normal(Wt.conj() @ Wt.T, Wt.conj() @ R.T)
+    x_new = np.concatenate([a.reshape(K, -1), b.reshape(K, -1), h], axis=1).ravel()
+    return x_new, float(np.linalg.norm(R - h.T @ Wt))
+
+
 class TestAls:
     """ALS descents (_run_als), and the scan that tries them before GN."""
 
@@ -549,6 +581,63 @@ class TestAls:
             assert _rel_err(new[:, block].ravel(), want) <= 1e-8
         assert res == pytest.approx(np.linalg.norm(y - synthesised(x_new, dims, K, L)),
                                     rel=1e-12)
+
+    @pytest.mark.parametrize("dims,K,L", SHAPES)
+    def test_sweeps_equal_reference_bit_for_bit(self, rng, dims, K, L):
+        # Two chains of 50 sweeps from one noisy start, one through the
+        # reference: every iterate and residual is the same float.
+        T1, T2, N = dims
+        R = (tc.synthesize_received(random_model(rng, dims, K, L))
+             + 0.1 * crandn(rng, *dims)).ravel(order="F").reshape(N, T2 * T1)
+        x = ref = solver.pack_factors([(t.A, t.B, t.h)
+                                       for t in random_model(rng, dims, K, L).terms])
+        for _ in range(50):
+            x, res = solver._als_sweep(R, x, dims, K, L)
+            ref, res_ref = _reference_als_sweep(R, ref, dims, K, L)
+            np.testing.assert_array_equal(x, ref)
+            assert res == res_ref
+            assert solver._residual(R, x, dims, K, L) == pytest.approx(res, rel=1e-12)
+
+    @pytest.mark.parametrize("dims,K,L", SHAPES)
+    def test_gram_blocks_equal_tensordot(self, rng, dims, K, L):
+        _, B, h = solver._stacked(solver.pack_factors(
+            [(t.A, t.B, t.h) for t in random_model(rng, dims, K, L).terms]), dims, K, L)
+        hh = h.conj() @ h.T
+        Bc = B.conj()
+        rows = B.transpose(0, 2, 1).reshape(K * L, -1)
+        np.testing.assert_array_equal(
+            solver._gram_blocks(rows.conj(), rows, hh),
+            np.tensordot(Bc, B, axes=(1, 1)) * hh[:, None, :, None])
+
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "strided"])
+    def test_solve_normal_changes_only_the_diagonal(self, rng, layout):
+        n = 7
+        M = crandn(rng, 12, n)
+        H = M.conj().T @ M
+        H[3, 3] = 50.0 + 0j                  # the largest real diagonal entry
+        host = np.zeros((2 * n, 2 * n), dtype=complex)
+        if layout == "contiguous":
+            G = H.copy()
+        elif layout == "transposed":
+            G = H.T.copy().T                 # Fortran order
+        else:
+            host[::2, ::2] = H
+            G = host[::2, ::2]
+        assert G.flags.c_contiguous == (layout == "contiguous")
+        before, host_before = G.copy(), host.copy()
+        rhs = crandn(rng, n, 2)
+        got = solver._solve_normal(G, rhs)
+        want = H + solver.TIKHONOV * 50.0 * np.eye(n)
+        off = ~np.eye(n, dtype=bool)
+        np.testing.assert_array_equal(G[off], before[off])
+        np.testing.assert_array_equal(G.diagonal(), want.diagonal())
+        reference = before.copy()
+        _reference_solve_normal(reference, rhs)
+        np.testing.assert_array_equal(G, reference)
+        np.testing.assert_array_equal(got, np.linalg.solve(want, rhs))
+        if layout == "strided":
+            host_before[::2, ::2] = G
+            np.testing.assert_array_equal(host, host_before)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_noise_free_reaches_exact_fit(self, seed):
