@@ -9,8 +9,8 @@ Decoding is syndrome based. The syndromes XOR-reduce a precomputed table of
 alpha^(i * position) over the word's set bits. Berlekamp-Massey finds the
 error locator, and a Chien search over the kept positions only finds the
 errors: a locator with a root in the shortened part has fewer than L roots
-there and is rejected. A final syndrome re-check reports any inconsistent
-correction as detected_uncorrectable.
+there and is rejected. A locator with L <= t roots there always gives a
+codeword (the proof is at the Chien search), so nothing is re-checked.
 """
 
 from __future__ import annotations
@@ -166,9 +166,18 @@ class OuterCode:
         roots = np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 0)
         if len(roots) != L:
             return rejected
+        # The corrected word is a codeword, so no syndrome re-check is needed.
+        # C(x) = prod_j (1 - X_j x) over the L distinct roots X_j = alpha^e_j,
+        # so every sequence C generates is S_i = sum_j Y_j X_j^i for some Y_j
+        # (S_1..S_L fix the Y_j through a Vandermonde matrix). The word is
+        # binary, so S_2i = S_i^2 for i = 1..t, i.e. sum_j (Y_j + Y_j^2)
+        # (X_j^2)^i = 0; with L <= t and the X_j^2 distinct and nonzero, that
+        # Vandermonde system forces Y_j + Y_j^2 = 0, so Y_j is 0 or 1. A Y_j of
+        # 0 would leave an LFSR shorter than L generating S, and BM's L is the
+        # shortest, so every Y_j is 1: flipping the L root bits zeroes
+        # S_1..S_2t, and a binary word with those syndromes zero is divisible
+        # by g(x).
         corrected = word.copy()
         corrected[roots] ^= 1
-        if any(self._syndromes(corrected)):
-            return rejected
         return DecodeResult(payload=corrected[:p.k_eff].copy(),
                             status=DecodeStatus.CORRECTED, corrected_bits=L)

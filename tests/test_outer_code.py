@@ -165,13 +165,13 @@ def all_words(width):
     return ((np.arange(1 << width)[:, None] >> np.arange(width)[::-1]) & 1).astype(np.uint8)
 
 
-@pytest.mark.parametrize("shorten", [0, 2])
-def test_exhaustive_bounded_distance(shorten):
-    # Oracle: for every word of the (15, 7) t=2 code and its (13, 5)
-    # shortening, the nearest codeword by brute force. A word within t of it
-    # decodes to that codeword's payload with the distance as corrected_bits;
-    # every other word is rejected.
-    code = OuterCode(4, 2, shorten=shorten)
+@pytest.mark.parametrize("t,shorten", [(2, 0), (2, 2), (3, 0)], ids=["0", "2", "t3"])
+def test_exhaustive_bounded_distance(t, shorten):
+    # Oracle: for every word of the (15, 7) t=2 code, its (13, 5) shortening
+    # and the (15, 5) t=3 code, the nearest codeword by brute force. A word
+    # within t of it decodes to that codeword's payload with the distance as
+    # corrected_bits; every other word is rejected.
+    code = OuterCode(4, t, shorten=shorten)
     p = code.params
     payloads = all_words(p.k_eff)
     codewords = np.array([code.encode(u) for u in payloads], dtype=np.int64)
