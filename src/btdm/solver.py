@@ -374,10 +374,10 @@ def _als_sweep(R, x, dims, K, L):
     T1, T2, N = dims
     na, nb, _ = _factor_sizes(dims, L)
     X = x.reshape(K, -1)
-    b = X[:, na:na + nb].reshape(K * L, T2)
-    hc = X[:, na + nb:].conj()
+    b, h = X[:, na:na + nb].reshape(K * L, T2), X[:, na + nb:]
+    hc = h.conj()
     Rh = (hc @ R).reshape(K, T2, T1)                                # Y x_3 conj(h_k)
-    hh = hc @ X[:, na + nb:].T
+    hh = hc @ h.T
     bc = b.conj()
     a = _solve_normal(_gram_blocks(bc, b, hh).reshape(K * L, K * L),
                       (bc.reshape(K, L, T2) @ Rh).reshape(K * L, T1))

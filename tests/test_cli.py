@@ -184,9 +184,10 @@ class TestGoldenSweeps:
     """Seeded `btdm simulate` sweeps against CSVs stored under tests/data.
 
     Each stored CSV was written by the command with `workers=1`. Every column
-    but `mean_runtime_ms` must come out the same: PUPE, its interval and
-    `mean_solver_iters` follow every accept/reject decision of every fit, so
-    a change that moves an iterate by one rounding step usually moves them.
+    but `mean_runtime_ms` must come out the same. PUPE, its interval and
+    `mean_solver_iters` follow the decisions of every fit, so a change that
+    alters one shows here; a change of a rounding step that alters none
+    does not, and the solver's own tests compare such kernels bit for bit.
     """
 
     SWEEPS = {
