@@ -52,7 +52,7 @@ class ExperimentConfig:
     seed: int = 0
     max_iterations: int = 500
     restarts: int = 5
-    workers: int = 1               # pool processes: a trial's groups, or else a fit's restarts
+    workers: int = 1               # pool processes for a trial's groups; one group runs in process
     strict: bool = False           # fail the run on solver failures
 
     @property

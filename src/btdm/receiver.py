@@ -15,7 +15,7 @@ hashable and trivially reversible to bit arrays.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class DemodDiagnostics:
 
 @dataclass
 class ScDiagnostics:
-    passes: list = field(default_factory=list)        # message set after each pass
     pass_diags: list = field(default_factory=list)    # DemodDiagnostics per pass
 
 
@@ -231,7 +230,6 @@ def successive_cancellation(Y: np.ndarray, params1, params2,
                                     pass_cfg, solver_cfg)
         new = messages - found
         found |= new
-        sc_diag.passes.append(set(found))
         sc_diag.pass_diags.append(diag)
         if not new:
             # Nothing new decoded; further passes see the same tensor.
@@ -245,16 +243,12 @@ def demodulate_groups(Y_list, params1, params2, outer, rx_cfgs,
     """Union of per-group demodulation, and each group's ScDiagnostics.
 
     Group g is decoded with rx_cfgs[g]. With max_workers > 1, two or more
-    groups decode in the solver's process pool and their fits run their
-    restarts in process; a single group's fits run their restarts in the
-    pool instead. The results do not depend on max_workers. An exception in
-    any group propagates.
+    groups decode in the solver's process pool, each group's fits in its
+    worker; a single group decodes here. The results do not depend on
+    max_workers. An exception in any group propagates.
     """
-    jobs = list(zip(Y_list, rx_cfgs, strict=True))
-    pooled = max_workers > 1 and len(jobs) > 1
-    solver_cfg = replace(solver_cfg, workers=1 if pooled else max_workers)
     results = pool_map(successive_cancellation,
                        [(Y, params1, params2, outer, rx_cfg, solver_cfg)
-                        for Y, rx_cfg in jobs],
+                        for Y, rx_cfg in zip(Y_list, rx_cfgs, strict=True)],
                        max_workers)
     return set().union(*(m for m, _ in results)), [sc_diag for _, sc_diag in results]

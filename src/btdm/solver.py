@@ -63,13 +63,10 @@ class SolverConfig:
     max_iterations: int = 500      # per descent: GN iterations, or ALS sweeps
     restarts: int = 5
     seed: int = 0
-    workers: int = 1               # pool processes for the ALS and GN scans, in waves
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -444,7 +441,6 @@ def init_random(dims, K: int, L: int, seed) -> BTDModel:
 
 
 _pool = None   # (processes, ProcessPoolExecutor) once a pooled map has needed one
-_in_worker = False   # set in pool workers, whose maps run in process
 
 
 @atexit.register
@@ -459,8 +455,6 @@ def shutdown_pool() -> None:
 def _start_worker(count, cpus):
     """Pool initializer: one BLAS thread, and each worker on the next usable CPU
     (left to the scheduler, workers woken through their pipes can share one)."""
-    global _in_worker
-    _in_worker = True
     blas.pin_to_one_thread()
     with count.get_lock():
         count.value += 1
@@ -469,7 +463,8 @@ def _start_worker(count, cpus):
 
 
 def pool_map(fn, jobs, workers: int) -> list:
-    """[fn(*job) for job in jobs], the package's one parallel map.
+    """[fn(*job) for job in jobs], the package's one parallel map; its one
+    caller maps a trial's user groups (receiver.demodulate_groups).
 
     With workers > 1 and at least two jobs they run in one process pool,
     forked after the BLAS pin, kept for the life of the process, and rebuilt
@@ -477,11 +472,11 @@ def pool_map(fn, jobs, workers: int) -> list:
     usable CPU at most: a second process pinned to a CPU runs nothing more
     at once, and it fixes which jobs share that CPU before their lengths
     are known, where free processes pulling the next job balance the load.
-    Inside a pool worker, and otherwise, they run here in order, so pools
-    never nest. fn must be reachable by name from its module. Returns once
-    every job has finished.
+    Otherwise they run here in order. fn must be reachable by name from its
+    module, and must not map through the pool itself. Returns once every
+    job has finished.
     """
-    if workers == 1 or len(jobs) < 2 or _in_worker:
+    if workers == 1 or len(jobs) < 2:
         return [fn(*job) for job in jobs]
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     from multiprocessing import Value
@@ -501,19 +496,13 @@ def pool_map(fn, jobs, workers: int) -> list:
         raise
 
 
-def _descents(descent, jobs, workers: int):
-    """descent(*job) for each job, in order, in waves of `workers` through
-    pool_map. A scan that stops early leaves nothing queued or running."""
-    for start in range(0, len(jobs), workers):
-        yield from pool_map(descent, jobs[start:start + workers], workers)
-
-
 def gndl_fit(Y: np.ndarray, K: int, L: int, config: SolverConfig,
              init: BTDModel | None = None, accept=None) -> SolveResult:
     """Fit K rank-(L,L,1) terms to Y from several starts: ALS descents
     certified by ``accept``, then GN-dogleg descents.
 
-    The starts are ``init``, if given, then random points. With ``accept``,
+    The starts are ``init``, if given, then seeded random points, each drawn
+    when a scan reaches it; every descent runs here. With ``accept``,
     an ALS descent runs from each start in order, and the fit returns the
     first whose model ``accept(model)`` approves: the check certifies the
     model, so it needs no Gauss-Newton polish. When none is approved, and
@@ -536,24 +525,26 @@ def gndl_fit(Y: np.ndarray, K: int, L: int, config: SolverConfig,
     y_vec = Y.ravel(order="F")
     y_norm = max(float(np.linalg.norm(y_vec)), 1e-300)
 
-    models = [] if init is None else [init]
-    models += [init_random(dims, K, L, seed=(config.seed, restart))
-               for restart in range(len(models), config.restarts)]
-    jobs = [(y_vec, dims, K, L, pack_factors([(t.A, t.B, t.h) for t in m.terms]), config)
-            for m in models]
+    def start(restart):
+        model = (init if restart == 0 and init is not None
+                 else init_random(dims, K, L, seed=(config.seed, restart)))
+        return pack_factors([(t.A, t.B, t.h) for t in model.terms])
+
     restart_iterations = []
     best = None
     if accept is not None:
-        for restart, (x, res, iters, converged, history) in enumerate(
-                _descents(_run_als, jobs, config.workers)):
+        for restart in range(config.restarts):
+            x, res, iters, converged, history = _run_als(y_vec, dims, K, L, start(restart),
+                                                         config)
             restart_iterations.append(iters)
             if np.isfinite(res) and accept(_model(x, dims, K, L)):
                 best = (x, res, iters, converged, history, restart, "als")
                 break
     als_starts = len(restart_iterations)
     if best is None:
-        for restart, (x, res, iters, converged, history) in enumerate(
-                _descents(_run_gndl, jobs, config.workers)):
+        for restart in range(config.restarts):
+            x, res, iters, converged, history = _run_gndl(y_vec, dims, K, L, start(restart),
+                                                          config)
             restart_iterations.append(iters)
             if not np.isfinite(res):
                 continue

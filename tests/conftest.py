@@ -8,7 +8,7 @@ from btdm import solver
 
 @pytest.fixture(scope="session", autouse=True)
 def no_process_left_behind():
-    """At the end of the session, stop the restart pool and require that no
+    """At the end of the session, stop the group pool and require that no
     child process is left running."""
     yield
     solver.shutdown_pool()

@@ -171,7 +171,7 @@ class TestRunMonteCarlo:
         assert csv1.split("\n")[1].startswith("12,8,2,")
 
     def test_early_stop_csv_independent_of_workers(self, monkeypatch):
-        # One group per trial, so workers=2 runs the restarts in the pool.
+        # One group per trial, so workers=2 runs every fit in process too.
         # At 8 dB with short descents the fit stops at its first restart in
         # some trials; at 4 dB no start decodes every user in some, and
         # the ALS and the GN scans each run every restart.

@@ -335,7 +335,7 @@ class TestSuccessiveCancellation:
         d1, _ = receiver.demodulate(Y, P1, P2, None, rx, SOLVER)
         d2, sc = receiver.successive_cancellation(Y, P1, P2, None, rx, SOLVER)
         assert d1 == d2
-        assert len(sc.passes) == 1
+        assert len(sc.pass_diags) == 1
 
     def test_superset_of_single_pass(self):
         Y, _ = make_scene(32, K=3, ebn0_db=20.0)
@@ -351,7 +351,24 @@ class TestSuccessiveCancellation:
         decoded, sc = receiver.successive_cancellation(Y, P1, P2, None, rx, SOLVER)
         assert decoded == sent
         # All terms explained after pass one; no further passes run.
-        assert len(sc.passes) == 1
+        assert len(sc.pass_diags) == 1
+
+    def test_one_diagnostics_entry_per_pass(self, monkeypatch):
+        # The surplus term is left unexplained after pass one, so a second runs.
+        Y, _ = make_scene(33, K=3, ebn0_db=20.0)
+        diags = []
+        demodulate = receiver.demodulate
+
+        def spy(*args):
+            result = demodulate(*args)
+            diags.append(result[1])
+            return result
+
+        monkeypatch.setattr(receiver, "demodulate", spy)
+        rx = receiver.ReceiverConfig(assumed_terms=4, sc_iterations=2)
+        _, sc = receiver.successive_cancellation(Y, P1, P2, None, rx, SOLVER)
+        assert len(diags) == 2
+        assert all(a is b for a, b in zip(sc.pass_diags, diags, strict=True))
 
     def test_subtraction_removes_known_user(self):
         Y, sent = make_scene(34, K=2)
@@ -397,9 +414,9 @@ class TestGroups:
         fits = []
         fit = receiver.gndl_fit
 
-        def spy(Y, K, L, cfg, **kwargs):
-            fits.append(cfg.workers)
-            return fit(Y, K, L, cfg, **kwargs)
+        def spy(*args, **kwargs):
+            fits.append(os.getpid())
+            return fit(*args, **kwargs)
 
         monkeypatch.setattr(receiver, "gndl_fit", spy)
         for max_workers in (2, 1):
@@ -407,9 +424,10 @@ class TestGroups:
                                                     max_workers=max_workers)
             assert decoded == sent
         # The pooled call fitted nothing here; in process, fits run in turn.
-        assert fits == [1, 1]
+        assert fits == [os.getpid()] * 2
+        # One group decodes here, whatever max_workers is.
         receiver.demodulate_groups(ys[:1], P1, P2, None, [rx], SOLVER, max_workers=2)
-        assert fits == [1, 1, 2]
+        assert fits == [os.getpid()] * 3
 
     def test_group_order_irrelevant(self):
         ys, _ = self.payload_sets()
@@ -478,21 +496,27 @@ class TestBlasPinning:
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork"
                         or not os.path.isdir("/proc/self/task"),
                         reason="needs forked workers and /proc/self/task")
-    def test_restart_workers_start_no_blas_thread(self, monkeypatch, rng):
+    def test_restart_workers_start_no_blas_thread(self, monkeypatch):
         # A worker that calls the OpenBLAS setter restarts its thread pool,
-        # whose new thread busy-waits beside the worker's own work.
+        # whose new thread busy-waits beside the worker's own work. The
+        # groups' fits run in the workers, each with the stand-in descent.
         solver.shutdown_pool()
         monkeypatch.setattr(solver, "_run_gndl", _os_threads_descent)
         set_threads, get_threads = blas.OPENBLAS
         parent = get_threads()
         set_threads(max(parent, 2))
         try:
-            res = solver.gndl_fit(crandn(rng, 4, 3, 2), 1, 2,
-                                  SolverConfig(restarts=2, max_iterations=3, workers=2))
+            ys, _ = TestGroups().payload_sets()
+            rx = receiver.ReceiverConfig(assumed_terms=2)
+            _, diags = receiver.demodulate_groups(
+                ys, P1, P2, None, [rx] * 2, SolverConfig(restarts=2, max_iterations=3),
+                max_workers=2)
         finally:
             set_threads(parent)
             solver.shutdown_pool()   # its workers were forked with the stand-in
-        assert set(res.restart_iterations) == {1}
+        # Each descent reports its worker's OS thread count as its iterations.
+        assert [(d.pass_diags[0].restarts_run, d.pass_diags[0].total_iterations)
+                for d in diags] == [(2, 2), (2, 2)]
 
     def test_pooled_decode_leaves_parent_pinned_and_quiet(self):
         # OpenBLAS stops its threads at a fork. A set call in the parent

@@ -299,18 +299,18 @@ class TestFit:
         assert res.restart_iterations[res.restart_index] == res.iterations
 
 
-# Stand-ins for _run_gndl in pool workers. A worker finds them by name, so
-# they live at module level.
-def _raising_descent(*_):
-    raise FloatingPointError("descent failed in a worker")
+# Jobs for pool workers. A worker finds them by name, so they live at
+# module level.
+def _pid(_):
+    return os.getpid()
 
 
-def _dying_descent(*_):
+def _raise(_):
+    raise FloatingPointError("job failed in a worker")
+
+
+def _die(_):
     os._exit(3)
-
-
-def _pids_of_nested_map():
-    return solver.pool_map(os.getpid, [(), ()], 2)
 
 
 def _alive(pid):
@@ -322,17 +322,13 @@ def _alive(pid):
 
 
 class TestRestartPool:
+    """solver.pool_map and its persistent pool; fits scan their starts in process."""
+
     @staticmethod
     def noisy_desk():
         rng = np.random.default_rng(21)
         model = random_model(rng, dims=(10, 8, 8), K=4)
         return model, tc.synthesize_received(model) + 0.3 * crandn(rng, 10, 8, 8)
-
-    @staticmethod
-    def fits(Y, K, cfg, init=None):
-        """The in-process fit and the pooled fit, with two workers."""
-        return (solver.gndl_fit(Y, K, 2, cfg, init=init),
-                solver.gndl_fit(Y, K, 2, replace(cfg, workers=2), init=init))
 
     @staticmethod
     def assert_same(r1, r2):
@@ -344,45 +340,28 @@ class TestRestartPool:
             assert np.array_equal(t1.B, t2.B)
             assert np.array_equal(t1.h, t2.h)
 
-    @pytest.mark.parametrize("warm", [False, True], ids=["random", "init"])
-    def test_pooled_fit_equals_in_process(self, warm):
-        model, Y = self.noisy_desk()
-        init = None
-        if warm:
-            rng = np.random.default_rng(5)
-            init = tc.BTDModel(terms=tuple(
-                tc.BlockTerm(A=t.A + 0.3 * crandn(rng, *t.A.shape), B=t.B, h=t.h)
-                for t in model.terms))
-        r1, r2 = self.fits(Y, 4, solver.SolverConfig(seed=3, restarts=5, max_iterations=80),
-                           init=init)
-        assert len(r1.restart_iterations) == 5
-        self.assert_same(r1, r2)
-
     def test_early_stop_picks_the_same_restart(self):
         # Noise-free: restart 2 runs to its cap and restart 3 is the first exact fit.
         Y = tc.synthesize_received(random_model(np.random.default_rng(24), dims=(6, 5, 4), K=4))
-        r1, r2 = self.fits(Y, 4, solver.SolverConfig(seed=24, restarts=5, max_iterations=100))
-        assert r1.restart_index == 3 and r1.restart_iterations == (36, 31, 100, 22)
-        self.assert_same(r1, r2)
+        res = solver.gndl_fit(Y, 4, 2, solver.SolverConfig(seed=24, restarts=5,
+                                                           max_iterations=100))
+        assert res.restart_index == 3 and res.restart_iterations == (36, 31, 100, 22)
 
     def test_workers_are_reused(self):
-        _, Y = self.noisy_desk()
-        cfg = solver.SolverConfig(restarts=2, max_iterations=5, workers=2)
-        solver.gndl_fit(Y, 4, 2, cfg)
-        first = {p.pid for p in multiprocessing.active_children()}
-        solver.gndl_fit(Y, 4, 2, cfg)
-        assert len(first) == 2
-        assert {p.pid for p in multiprocessing.active_children()} == first
+        first = set(solver.pool_map(_pid, [(i,) for i in range(4)], 2))
+        children = {p.pid for p in multiprocessing.active_children()}
+        assert len(children) == 2 and first <= children
+        assert set(solver.pool_map(_pid, [(i,) for i in range(4)], 2)) <= children
+        assert {p.pid for p in multiprocessing.active_children()} == children
 
     @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
                         reason="needs two usable CPUs")
     def test_workers_spread_over_cpus(self):
-        _, Y = self.noisy_desk()
         cpus = sorted(os.sched_getaffinity(0))
         solver.shutdown_pool()
-        solver.gndl_fit(Y, 4, 2, solver.SolverConfig(restarts=2, max_iterations=5, workers=2))
+        solver.pool_map(_pid, [(0,), (1,)], 2)
         workers = multiprocessing.active_children()
-        for _ in range(100):   # a worker that got no restart may still be starting
+        for _ in range(100):   # a worker that got no job may still be starting
             masks = [os.sched_getaffinity(w.pid) for w in workers]
             if all(len(mask) == 1 for mask in masks):
                 break
@@ -397,35 +376,16 @@ class TestRestartPool:
         assert solver.pool_map(abs, [(-i,) for i in range(8)], cpus + 2) == list(range(8))
         assert len(multiprocessing.active_children()) == cpus
 
-    def test_worker_exception_reaches_caller(self, monkeypatch):
-        _, Y = self.noisy_desk()
-        cfg = solver.SolverConfig(restarts=2, max_iterations=5, workers=2)
-        # Fork the workers before the patch: a worker forked after it would
-        # keep the stand-in as its own _run_gndl.
-        solver.gndl_fit(Y, 4, 2, cfg)
-        monkeypatch.setattr(solver, "_run_gndl", _raising_descent)
+    def test_worker_exception_reaches_caller(self):
         with pytest.raises(FloatingPointError):
-            solver.gndl_fit(Y, 4, 2, cfg)
-        monkeypatch.undo()
-        assert np.isfinite(solver.gndl_fit(Y, 4, 2, cfg).relative_residual)
+            solver.pool_map(_raise, [(0,), (1,)], 2)
+        assert solver.pool_map(abs, [(-1,), (-2,)], 2) == [1, 2]
 
-    def test_dead_worker_breaks_one_fit_only(self, monkeypatch):
-        _, Y = self.noisy_desk()
-        cfg = solver.SolverConfig(restarts=2, max_iterations=5, workers=2)
+    def test_dead_worker_breaks_one_fit_only(self):
         solver.shutdown_pool()
-        monkeypatch.setattr(solver, "_run_gndl", _dying_descent)
         with pytest.raises(BrokenProcessPool):
-            solver.gndl_fit(Y, 4, 2, cfg)
-        monkeypatch.undo()
-        assert np.isfinite(solver.gndl_fit(Y, 4, 2, cfg).relative_residual)
-
-    def test_map_inside_a_worker_runs_in_process(self):
-        for pids in solver.pool_map(_pids_of_nested_map, [(), ()], 2):
-            assert len(set(pids)) == 1 and pids[0] != os.getpid()
-
-    def test_workers_validated(self):
-        with pytest.raises(ValueError):
-            solver.SolverConfig(workers=0)
+            solver.pool_map(_die, [(0,), (1,)], 2)
+        assert solver.pool_map(abs, [(-1,), (-2,)], 2) == [1, 2]
 
     @staticmethod
     def run_python(code):
@@ -446,15 +406,22 @@ class TestRestartPool:
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["False"]
 
+    def test_one_group_sweep_starts_no_pool(self):
+        # workers sizes the pool for a trial's groups; one group runs in process.
+        done = self.run_python(
+            "import sys\n"
+            "from btdm import cli\n"
+            "code = cli.main(['simulate', '--set', 'trials=2', '--set', 'workers=2'])\n"
+            "print(code, 'concurrent.futures.process' in sys.modules)\n")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split()[-2:] == ["0", "False"]
+
     def test_process_exit_stops_the_pool(self):
-        code = ("import multiprocessing\n"
-                "import numpy as np\n"
-                "from btdm import solver\n"
-                "Y = np.random.default_rng(0).standard_normal((6, 5, 4)) + 0j\n"
-                "solver.gndl_fit(Y, 2, 2, solver.SolverConfig(restarts=2, max_iterations=5,"
-                " workers=2))\n"
-                "print(*(p.pid for p in multiprocessing.active_children()))\n")
-        done = self.run_python(code)
+        done = self.run_python(
+            "import multiprocessing\n"
+            "from btdm import solver\n"
+            "solver.pool_map(abs, [(-1,), (-2,)], 2)\n"
+            "print(*(p.pid for p in multiprocessing.active_children()))\n")
         assert done.returncode == 0, done.stderr
         pids = [int(pid) for pid in done.stdout.split()]
         assert len(pids) == 2
@@ -463,7 +430,7 @@ class TestRestartPool:
 
 class TestAccept:
     """gndl_fit returns the first restart that accept approves, scanning in
-    order, and a pool runs restarts in waves of `workers`."""
+    order, and draws a start only when its scan reaches it."""
 
     @staticmethod
     def accept_nth(n):
@@ -490,35 +457,29 @@ class TestAccept:
 
     @pytest.mark.parametrize("n", [4, 0], ids=["accepts-restart-3", "accepts-none"])
     def test_independent_of_workers(self, n):
-        # With 5 restarts, 3 workers run a full wave and a partial one, of
-        # ALS starts, and when none is accepted, of GN restarts.
+        # 5 restarts: the ALS scan stops at start 3, or scans all 5 ALS
+        # starts and then all 5 GN restarts.
         _, Y = TestRestartPool.noisy_desk()
         cfg = solver.SolverConfig(seed=3, restarts=5, max_iterations=80)
-        r1, r2, r3 = (solver.gndl_fit(Y, 4, 2, replace(cfg, workers=w),
-                                      accept=self.accept_nth(n)) for w in (1, 2, 3))
-        assert len(r1.restart_iterations) == (n or 10)
-        assert (r1.engine, r1.als_starts) == (("als", 4) if n else ("gn", 5))
-        TestRestartPool.assert_same(r1, r2)
-        TestRestartPool.assert_same(r1, r3)
+        res = solver.gndl_fit(Y, 4, 2, cfg, accept=self.accept_nth(n))
+        assert len(res.restart_iterations) == (n or 10)
+        assert (res.engine, res.als_starts) == (("als", 4) if n else ("gn", 5))
 
-    def test_stop_leaves_no_work_queued(self, monkeypatch):
-        # Noise-free: restart 0 is exact. Restarts mapped all at once used
-        # to leave workers + 1 of them running after the stop.
-        Y = tc.synthesize_received(random_model(np.random.default_rng(0), dims=(10, 8, 8),
-                                                K=4))
-        waves = []
-        pool_map = solver.pool_map
+    @pytest.mark.parametrize("warm", [False, True], ids=["random", "init"])
+    def test_draws_only_the_starts_it_scans(self, monkeypatch, warm):
+        model, Y = TestRestartPool.noisy_desk()
+        seeds = []
+        init_random = solver.init_random
 
-        def spy(fn, jobs, workers):
-            waves.append(len(jobs))
-            return pool_map(fn, jobs, workers)
+        def spy(dims, K, L, seed):
+            seeds.append(seed)
+            return init_random(dims, K, L, seed)
 
-        monkeypatch.setattr(solver, "pool_map", spy)
-        res = solver.gndl_fit(Y, 4, 2, solver.SolverConfig(seed=0, restarts=60,
-                                                           max_iterations=100, workers=2))
-        assert res.restart_index == 0 and len(res.restart_iterations) == 1
-        assert waves == [2]
-        assert not solver._pool[1]._pending_work_items
+        monkeypatch.setattr(solver, "init_random", spy)
+        res = solver.gndl_fit(Y, 4, 2, solver.SolverConfig(seed=3, restarts=5),
+                              init=model if warm else None, accept=lambda m: True)
+        assert res.restart_index == 0 and res.engine == "als"
+        assert seeds == ([] if warm else [(3, 0)])
 
 
 def _no_gn_descent(*_):
