@@ -65,14 +65,14 @@ def transmit(payloads, params1: codec.CodecParams, params2: codec.CodecParams,
     b1, b2 = params1.ell, params2.ell
     scale = np.sqrt(config.symbol_energy / L)
     H = sample_channels(config.n_users, config.n_antennas, channel_rng)
-    terms = []
+    payloads = [np.asarray(payload, dtype=np.uint8) for payload in payloads]
     for k, payload in enumerate(payloads):
-        payload = np.asarray(payload, dtype=np.uint8)
         if payload.shape != (b1 + b2,):
             raise ValueError(f"payload {k} must have {b1 + b2} bits")
-        A = codec.build_symbol(payload[:b1], params1)
-        B = codec.build_symbol(payload[b1:], params2)
-        terms.append(BlockTerm(A=scale * A, B=B, h=H[k]))
+    coded = np.stack(payloads)
+    A = scale * codec.build_symbol(coded[:, :b1], params1)
+    B = codec.build_symbol(coded[:, b1:], params2)
+    terms = [BlockTerm(A=A[k], B=B[k], h=H[k]) for k in range(config.n_users)]
     model = BTDModel(terms=tuple(terms))
     dims = (params1.T, params2.T, config.n_antennas)
     noise = None

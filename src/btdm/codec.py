@@ -109,36 +109,63 @@ class CodecParams:
 
 
 # ---------------------------------------------------------------------------
-# Dominant-pair injection (lexicographic over 1 <= p < q <= T).
+# Bit parts. A payload's bits are read as consecutive MSB-first parts.
 # ---------------------------------------------------------------------------
 
-def pair_index(p: int, q: int, T: int) -> int:
-    """Lexicographic index of the ordered pair (p, q), zero-based."""
-    if not (1 <= p < q <= T):
+def _shifts(parts) -> np.ndarray:
+    """Each payload bit's place value exponent within its part."""
+    ends = np.cumsum(parts, dtype=np.int64)
+    return np.repeat(ends, parts) - 1 - np.arange(ends[-1] if len(ends) else 0)
+
+
+def _ints_from_bits(bits, parts) -> np.ndarray:
+    """The integers of the consecutive parts of `bits` (..., sum(parts)),
+    as int64 (..., len(parts)); a zero-length part reads 0."""
+    ends = np.cumsum(parts, dtype=np.int64)
+    weighted = np.asarray(bits, dtype=np.int64) << _shifts(parts)
+    total = np.concatenate([np.zeros(weighted.shape[:-1] + (1,), dtype=np.int64),
+                            np.cumsum(weighted, axis=-1)], axis=-1)
+    return total[..., ends] - total[..., ends - np.asarray(parts)]
+
+
+def _bits_from_ints(values, parts) -> np.ndarray:
+    """Inverse of :func:`_ints_from_bits`: (..., len(parts)) to uint8 bits."""
+    spread = np.repeat(np.asarray(values, dtype=np.int64), parts, axis=-1)
+    return ((spread >> _shifts(parts)) & 1).astype(np.uint8)
+
+
+# ---------------------------------------------------------------------------
+# Dominant-pair injection (lexicographic over 1 <= p < q <= T), elementwise.
+# ---------------------------------------------------------------------------
+
+def pair_index(p, q, T: int):
+    """Lexicographic index of each ordered pair (p, q), zero-based."""
+    p, q = np.asarray(p), np.asarray(q)
+    if not np.all((1 <= p) & (p < q) & (q <= T)):
         raise ValueError(f"need 1 <= p < q <= T, got ({p}, {q}) with T={T}")
-    before = (p - 1) * T - p * (p - 1) // 2
-    return before + (q - p - 1)
+    return (p - 1) * T - p * (p - 1) // 2 + (q - p - 1)
 
 
-def pair_from_index(index: int, T: int) -> tuple[int, int]:
-    if not (0 <= index < T * (T - 1) // 2):
+def pair_from_index(index, T: int):
+    """The pair (p, q) of each lexicographic index."""
+    index = np.asarray(index)
+    if not np.all((0 <= index) & (index < T * (T - 1) // 2)):
         raise ValueError(f"pair index {index} out of range for T={T}")
-    p = 1
-    while index >= T - p:
-        index -= T - p
-        p += 1
-    return p, p + index + 1
+    first = pair_index(np.arange(1, T), np.arange(2, T + 1), T)   # index of (p, p + 1)
+    p = np.searchsorted(first, index, side="right")
+    return p, p + 1 + index - first[p - 1]
 
 
-def pair_from_bits(b1, T: int) -> tuple[int, int]:
-    return pair_from_index(bits_to_int(b1), T)
+def pair_from_bits(b1, T: int):
+    b1 = np.asarray(b1)
+    return pair_from_index(_ints_from_bits(b1, (b1.shape[-1],))[..., 0], T)
 
 
-def bits_from_pair(p: int, q: int, T: int, ell1: int) -> np.ndarray:
+def bits_from_pair(p, q, T: int, ell1: int) -> np.ndarray:
     idx = pair_index(p, q, T)
-    if idx >= (1 << ell1):
-        raise DemapFailure(f"pair ({p}, {q}) lies outside the {ell1}-bit injection image")
-    return int_to_bits(idx, ell1)
+    if np.any(idx >= (1 << ell1)):
+        raise DemapFailure(f"a dominant pair lies outside the {ell1}-bit injection image")
+    return _bits_from_ints(idx[..., None], (ell1,))
 
 
 # ---------------------------------------------------------------------------
@@ -164,169 +191,217 @@ def cube_split_scalar(x_odd: int, x_even: int, L_odd: int, L_even: int) -> compl
     return math.sqrt((1.0 - e) / (1.0 + e)) / r * w
 
 
-def inverse_cube_split(alpha: complex, L_odd: int, L_even: int) -> tuple[int, int]:
-    """Nearest-cell hard decision inverting :func:`cube_split_scalar`.
+# numpy's log differs from math.log in the last bit on some inputs, and numpy
+# has no erf, so the inverse takes both from math, one call per element.
+_LOG = np.frompyfunc(math.log, 1, 1)
+_ERF = np.frompyfunc(math.erf, 1, 1)
+_SQRT2 = math.sqrt(2.0)
 
-    Inputs with |alpha| >= 1 are radially clamped just inside the disc.
+
+def _normal_cell(x, bits):
+    """min(2^bits - 1, floor(Phi(x) 2^bits)), with Phi as statistics.NormalDist.cdf."""
+    cdf = 0.5 * (1.0 + np.asarray(_ERF(x / _SQRT2), dtype=np.float64))
+    top = np.ldexp(1.0, bits)
+    return np.clip(np.floor(cdf * top), 0.0, top - 1.0).astype(np.int64)
+
+
+def inverse_cube_split(alpha, L_odd, L_even):
+    """Nearest-cell hard decision inverting :func:`cube_split_scalar`,
+    elementwise over arrays of alpha and part lengths.
+
+    Inputs with |alpha| >= 1 are radially clamped just inside the disc. Each
+    element takes the same float64 operations as one complex scalar would in
+    Python, so a cell boundary falls in the same place.
     """
-    alpha = complex(alpha)
-    r = abs(alpha)
-    if r >= 1.0:
-        alpha *= CLAMP_RADIUS / r
-        r = CLAMP_RADIUS
-    if r == 0.0:
-        w = 0j
-    else:
-        r2 = r * r
-        R = math.sqrt(-2.0 * math.log((1.0 - r2) / (1.0 + r2)))
-        w = R / r * alpha
-    x_odd = min((1 << L_odd) - 1, max(0, int(math.floor(_NORMAL.cdf(w.real) * (1 << L_odd)))))
-    x_even = min((1 << L_even) - 1, max(0, int(math.floor(_NORMAL.cdf(w.imag) * (1 << L_even)))))
-    return x_odd, x_even
+    alpha = np.asarray(alpha, dtype=np.complex128)
+    re, im = alpha.real, alpha.imag
+    r = np.hypot(re, im)                              # Python's abs(complex)
+    clamp = np.where(r >= 1.0, CLAMP_RADIUS / np.where(r > 0.0, r, 1.0), 1.0)
+    re, im = re * clamp, im * clamp
+    r = np.where(r >= 1.0, CLAMP_RADIUS, r)
+    r2 = r * r
+    R = np.sqrt(-2.0 * np.asarray(_LOG((1.0 - r2) / (1.0 + r2)), dtype=np.float64))
+    g = R / np.where(r > 0.0, r, 1.0)                 # 0 at alpha = 0, where w = 0
+    return _normal_cell(g * re, L_odd), _normal_cell(g * im, L_even)
 
 
 def _coords_from_bits(b2, parts: tuple[int, ...]) -> np.ndarray:
-    """Decode the coordinate bit parts into the complex vector a."""
-    xs = []
-    pos = 0
-    for length in parts:
-        xs.append(bits_to_int(b2[pos:pos + length]))
-        pos += length
-    assert pos == len(b2)
-    n_alpha = len(parts) // 2
-    return np.array(
-        [cube_split_scalar(xs[2 * t], xs[2 * t + 1], parts[2 * t], parts[2 * t + 1])
-         for t in range(n_alpha)],
-        dtype=np.complex128,
-    )
+    """Decode the coordinate bit parts (..., ell2) into the complex vectors a
+    (..., len(parts) // 2), one cube_split_scalar call per distinct cell."""
+    xs = _ints_from_bits(b2, parts)
+    lengths = np.broadcast_to(np.asarray(parts, dtype=np.int64), xs.shape)
+    # A cell is (x_odd, L_odd, x_even, L_even), packed as 24 + 5 + 24 + 5 bits.
+    keys = ((xs[..., 0::2] << 34) | (lengths[..., 0::2] << 29)
+            | (xs[..., 1::2] << 5) | lengths[..., 1::2])
+    cells, inverse = np.unique(keys.ravel(), return_inverse=True)
+    values = np.array([cube_split_scalar(k >> 34, (k >> 5) & 0xFFFFFF, (k >> 29) & 31, k & 31)
+                       for k in cells.tolist()], dtype=np.complex128)
+    return values[inverse].reshape(keys.shape)
 
 
 def _bits_from_coords(a: np.ndarray, parts: tuple[int, ...]) -> np.ndarray:
-    bits = []
-    for t, alpha in enumerate(a):
-        x_odd, x_even = inverse_cube_split(alpha, parts[2 * t], parts[2 * t + 1])
-        bits.append(int_to_bits(x_odd, parts[2 * t]))
-        bits.append(int_to_bits(x_even, parts[2 * t + 1]))
-    return np.concatenate(bits) if bits else np.zeros(0, dtype=np.uint8)
+    lengths = np.asarray(parts, dtype=np.int64)
+    x_odd, x_even = inverse_cube_split(a, lengths[0::2], lengths[1::2])
+    return _bits_from_ints(np.stack([x_odd, x_even], axis=-1).reshape(x_odd.shape[:-1] + (-1,)),
+                           parts)
+
+
+def _over(z: np.ndarray, f: float) -> np.ndarray:
+    """z / f as Python divides a complex by a float, each part by f (numpy
+    would multiply by 1 / f)."""
+    out = np.empty_like(z)
+    out.real, out.imag = z.real / f, z.imag / f
+    return out
+
+
+def _frobenius(M: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(M[i]) for each matrix of an (n, T, L) stack, bit for
+    bit: norm adds the dot products of the real and imaginary parts, which
+    are strided views, and matmul of such vectors calls the same BLAS dot."""
+    n = len(M)
+    re, im = M.real.reshape(n, -1), M.imag.reshape(n, -1)
+    return np.sqrt((re[:, None, :] @ re[:, :, None])[:, 0, 0]
+                   + (im[:, None, :] @ im[:, :, None])[:, 0, 0])
 
 
 # ---------------------------------------------------------------------------
-# Symbol construction and demapping, L = 2.
+# Symbol construction and demapping.  Each takes one payload or estimate, or
+# a stack of them along a leading axis.
 # ---------------------------------------------------------------------------
 
 def build_symbol(b, params: CodecParams) -> np.ndarray:
-    """The T x L column-orthonormal symbol carrying the payload bits b."""
+    """The T x L column-orthonormal symbol carrying the payload bits b, or the
+    (n, T, L) symbols of an (n, ell) stack of payloads."""
     b = np.asarray(b, dtype=np.uint8)
-    if b.shape != (params.ell,):
+    if b.ndim not in (1, 2) or b.shape[-1] != params.ell:
         raise ValueError(f"payload must have {params.ell} bits, got {b.shape}")
+    stack = b.reshape(-1, params.ell)
+    n, T, f = len(stack), params.T, params.f
+    rows = np.arange(n)
+    a = _coords_from_bits(stack[:, params.ell1:], params.part_lengths)
+    rest = np.ones((n, T), dtype=bool)
+    U = np.zeros((n, T, params.L), dtype=np.complex128)
     if params.L == 1:
-        return build_symbol_rank1(b, params)
-    T, f = params.T, params.f
-    p, q = pair_from_bits(b[:params.ell1], T)
-    a = _coords_from_bits(b[params.ell1:], params.part_lengths)
-    half = T - 2
-    i_p = complex(np.vdot(a[:half], a[half:]))
-    U = np.zeros((T, 2), dtype=np.complex128)
-    U[p - 1] = (f, -i_p / f)
-    U[q - 1] = (0.0, f)
-    rest = [i for i in range(T) if i not in (p - 1, q - 1)]
-    U[rest, 0] = a[:half]
-    U[rest, 1] = a[half:]
-    # Exact column orthogonality before scaling: col1^H col2 = -i_p + i_p = 0.
-    U /= np.linalg.norm(U, axis=0, keepdims=True)
-    return U
+        p = _ints_from_bits(stack[:, :params.ell1], (params.ell1,))[:, 0]  # zero-based
+        U[rows, p, 0] = f
+        rest[rows, p] = False
+        U[rest, 0] = a.ravel()
+        U /= _frobenius(U)[:, None, None]
+    else:
+        p, q = pair_from_bits(stack[:, :params.ell1], T)
+        half = T - 2
+        i_p = (a[:, None, :half].conj() @ a[:, half:, None])[:, 0, 0]    # np.vdot per row
+        U[rows, p - 1, 0] = f
+        U[rows, p - 1, 1] = _over(-i_p, f)
+        U[rows, q - 1, 1] = f
+        rest[rows, p - 1] = rest[rows, q - 1] = False
+        U[rest] = np.stack([a[:, :half], a[:, half:]], axis=-1).reshape(-1, 2)
+        # Exact column orthogonality before scaling: col1^H col2 = -i_p + i_p = 0.
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+    return U if b.ndim == 2 else U[0]
 
 
-def detect_dominant_pair(Mhat: np.ndarray) -> tuple[int, int]:
-    """Indices (1-based, p < q) of the two largest squared row norms.
+def detect_dominant_pair(Mhat):
+    """Indices (1-based, p < q) of the two largest squared row norms of a
+    matrix, or arrays of them for an (n, T, L) stack.
 
     Ties within 1e-12 of each other are broken toward the smaller row index.
     """
     M = np.asarray(Mhat, dtype=np.complex128)
-    norms = np.sum(np.abs(M) ** 2, axis=1)
-    if not np.any(norms > 0):
+    norms = np.sum(np.abs(M) ** 2, axis=-1).reshape(-1, M.shape[-2])
+    if not np.all(np.any(norms > 0, axis=1)):
         raise ValueError("matrix is zero")
-    tie = 1e-12 * max(norms.max(), 1.0)
-    order = sorted(range(len(norms)), key=lambda i: (-norms[i], i))
-    top = [order[0], order[1]]
-    # Prefer a smaller index when the runner-up is within the tie tolerance.
-    for cand in order[2:]:
-        if norms[top[1]] - norms[cand] <= tie and cand < top[1]:
-            top[1] = cand
-        else:
-            break
-    p, q = sorted(t + 1 for t in top)
-    return p, q
+    tie = 1e-12 * np.maximum(norms.max(axis=1), 1.0)
+    order = np.argsort(-norms, axis=1, kind="stable")
+    top = order[:, :2].copy()
+    if norms.shape[1] > 2:
+        rows = np.arange(len(norms))
+        # Prefer a smaller index when the runner-up is within the tie
+        # tolerance: rare, so the scan runs per matrix, only where it moves.
+        moves = ((norms[rows, top[:, 1]] - norms[rows, order[:, 2]] <= tie)
+                 & (order[:, 2] < top[:, 1]))
+        for i in np.flatnonzero(moves):
+            for cand in order[i, 2:]:
+                if norms[i, top[i, 1]] - norms[i, cand] <= tie[i] and cand < top[i, 1]:
+                    top[i, 1] = cand
+                else:
+                    break
+    p, q = top.min(axis=1) + 1, top.max(axis=1) + 1
+    if M.ndim == 2:
+        return int(p[0]), int(q[0])
+    return p.reshape(M.shape[:-2]), q.reshape(M.shape[:-2])
 
 
-def solve_pilot_inner_product(W: np.ndarray, f: float) -> complex:
+def solve_pilot_inner_product(W: np.ndarray, f: float):
     """Closed-form solution of the one-variable linear equation for the
     coordinate-halves inner product: with C = W^H W,
-    i_p = f^2 C_12 / (1 + C_11)."""
-    C = W.conj().T @ W
-    return complex(f * f * C[0, 1] / (1.0 + C[0, 0]))
+    i_p = f^2 C_12 / (1 + C_11); per matrix of a stack."""
+    C = np.swapaxes(W.conj(), -1, -2) @ W
+    return f * f * C[..., 0, 1] / (1.0 + C[..., 0, 0])
 
 
 def demap_symbol(Ahat, params: CodecParams) -> np.ndarray:
     """Recover the payload bits from any basis of the estimated subspace.
 
-    Ahat is any T x L matrix whose columns span the estimate: the result is
-    invariant to any invertible right factor, so a fitted factor is passed
-    as it is.  Returns the payload bits.  Raises ValueError for a wrongly
-    shaped or non-finite input, and DemapFailure when the estimate is rank
-    deficient or cannot correspond to any constellation point.
+    Ahat is any T x L matrix whose columns span the estimate, or an
+    (n, T, L) stack of them: the result is invariant to any invertible right
+    factor, so a fitted factor is passed as it is.  Returns the payload bits,
+    (n, ell) for a stack.  Raises ValueError for a wrongly shaped or
+    non-finite input, and DemapFailure when an estimate is rank deficient or
+    cannot correspond to any constellation point.
     """
     A = np.asarray(Ahat, dtype=np.complex128)
-    if A.shape != (params.T, params.L):
+    if A.ndim not in (2, 3) or A.shape[-2:] != (params.T, params.L):
         raise ValueError(f"estimate must be {params.T} x {params.L}, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("estimate contains NaN or Inf entries")
-    Q, R = np.linalg.qr(A)
-    r = np.abs(R.diagonal())
-    if r.min() <= RANK_TOL * r.max():
+    Q, R = np.linalg.qr(A.reshape(-1, params.T, params.L))
+    r = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    if np.any(r.min(axis=1) <= RANK_TOL * r.max(axis=1)):
         raise DemapFailure("estimate is numerically rank deficient")
-    if params.L == 1:
-        return demap_symbol_rank1(Q, params)
-    T, f = params.T, params.f
+    bits = (_demap_rank1 if params.L == 1 else _demap_rank2)(Q, params)
+    return bits if A.ndim == 3 else bits[0]
+
+
+def _demap_rank2(Q: np.ndarray, params: CodecParams) -> np.ndarray:
+    """Bits of each orthonormal (T, 2) basis of an (n, T, 2) stack."""
+    n, T, f = len(Q), params.T, params.f
+    rows = np.arange(n)
     p, q = detect_dominant_pair(Q)
     b1 = bits_from_pair(p, q, T, params.ell1)
-    A1 = Q[[p - 1, q - 1], :]
-    A2 = np.delete(Q, [p - 1, q - 1], axis=0)
-    det = A1[0, 0] * A1[1, 1] - A1[0, 1] * A1[1, 0]
-    if abs(det) < DET_TOL * np.linalg.norm(A1) ** 2:
+    A1 = Q[rows[:, None], np.stack([p - 1, q - 1], axis=1)]
+    rest = np.ones((n, T), dtype=bool)
+    rest[rows, p - 1] = rest[rows, q - 1] = False
+    A2 = Q[rest].reshape(n, T - 2, 2)
+    # det and |det| as numpy's complex scalars compute them.
+    a, b, c, d = A1[:, 0, 0], A1[:, 1, 1], A1[:, 0, 1], A1[:, 1, 0]
+    det_re = (a.real * b.real - a.imag * b.imag) - (c.real * d.real - c.imag * d.imag)
+    det_im = (a.real * b.imag + a.imag * b.real) - (c.real * d.imag + c.imag * d.real)
+    if np.any(np.hypot(det_re, det_im) < DET_TOL * _frobenius(A1) ** 2):
         raise DemapFailure("dominant-row block is numerically singular")
     W = A2 @ np.linalg.inv(A1)
     i_p = solve_pilot_inner_product(W, f)
-    A2_rec = W @ np.array([[f, -i_p / f], [0.0, f]], dtype=np.complex128)
-    a = np.concatenate([A2_rec[:, 0], A2_rec[:, 1]])
-    return np.concatenate([b1, _bits_from_coords(a, params.part_lengths)])
+    pilot = np.zeros((n, 2, 2), dtype=np.complex128)
+    pilot[:, 0, 0] = pilot[:, 1, 1] = f
+    pilot[:, 0, 1] = _over(-i_p, f)
+    a = (W @ pilot).transpose(0, 2, 1).reshape(n, -1)   # column 1, then column 2
+    return np.concatenate([b1, _bits_from_coords(a, params.part_lengths)], axis=1)
 
 
 # ---------------------------------------------------------------------------
 # L = 1 baseline (single dominant entry).
 # ---------------------------------------------------------------------------
 
-def build_symbol_rank1(b, params: CodecParams) -> np.ndarray:
-    b = np.asarray(b, dtype=np.uint8)
-    if params.L != 1 or b.shape != (params.ell,):
-        raise ValueError("params/payload mismatch for rank-1 symbol")
-    T, f = params.T, params.f
-    p = bits_to_int(b[:params.ell1])  # zero-based dominant index
-    a = _coords_from_bits(b[params.ell1:], params.part_lengths)
-    x = np.zeros((T, 1), dtype=np.complex128)
-    x[p, 0] = f
-    rest = [i for i in range(T) if i != p]
-    x[rest, 0] = a
-    x /= np.linalg.norm(x)
-    return x
-
-
-def demap_symbol_rank1(q: np.ndarray, params: CodecParams) -> np.ndarray:
-    """Demap a unit-norm T x 1 estimate, as checked by :func:`demap_symbol`."""
-    x = q.reshape(-1)
-    p = int(np.argmax(np.abs(x)))
-    if p >= (1 << params.ell1):
-        raise DemapFailure(f"dominant index {p} outside the injection image")
-    b1 = int_to_bits(p, params.ell1)
-    a = np.delete(x, p) * (params.f / x[p])
-    return np.concatenate([b1, _bits_from_coords(a, params.part_lengths)])
+def _demap_rank1(Q: np.ndarray, params: CodecParams) -> np.ndarray:
+    """Bits of each unit-norm (T, 1) estimate of an (n, T, 1) stack."""
+    n, T = Q.shape[:2]
+    rows = np.arange(n)
+    x = Q[:, :, 0]
+    p = np.argmax(np.abs(x), axis=1)
+    if np.any(p >= (1 << params.ell1)):
+        raise DemapFailure("dominant index outside the injection image")
+    rest = np.ones((n, T), dtype=bool)
+    rest[rows, p] = False
+    a = x[rest].reshape(n, T - 1) * (params.f / x[rows, p])[:, None]
+    return np.concatenate([_bits_from_ints(p[:, None], (params.ell1,)),
+                           _bits_from_coords(a, params.part_lengths)], axis=1)

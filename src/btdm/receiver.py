@@ -152,12 +152,23 @@ def demodulate(Y: np.ndarray, params1: codec.CodecParams, params2: codec.CodecPa
     accepted = []
 
     def every_term_decodes(model) -> bool:
+        # One failing term rejects the start, so each check runs on all K
+        # terms at once: the floor, the A demap, the B demap, then BCH.
+        terms = model.terms
+        if any(_term_energy(term) <= floor for term in terms):
+            return False
+        try:
+            coded = np.concatenate(
+                [codec.demap_symbol(np.stack([term.A for term in terms]), params1),
+                 codec.demap_symbol(np.stack([term.B for term in terms]), params2)], axis=1)
+        except codec.DemapFailure:
+            return False
         messages = set()
-        for term in model.terms:
-            message = _term_message(term, params1, params2, outer, floor, DemodDiagnostics())
-            if message is None:
+        for word in coded:
+            res = outer.decode(word)
+            if not res.valid:
                 return False
-            messages.add(message)
+            messages.add(bits_to_message(res.payload))
         if len(messages) < K:
             return False
         accepted.append(messages)
@@ -185,18 +196,19 @@ def demodulate(Y: np.ndarray, params1: codec.CodecParams, params2: codec.CodecPa
     return messages - {None}, diag
 
 
-def _reencode_symbols(message: str, params1, params2, outer) -> np.ndarray:
-    payload = message_to_bits(message)
-    coded = outer.encode(payload) if outer is not None else payload
-    A = codec.build_symbol(coded[:params1.ell], params1)
-    B = codec.build_symbol(coded[params1.ell:], params2)
-    return A @ B.T
+def _reencode_symbols(messages, params1, params2, outer) -> np.ndarray:
+    """The (n, T1, T2) matrix signals A B^T of the messages, in order."""
+    payloads = np.stack([message_to_bits(m) for m in messages])
+    coded = np.stack([outer.encode(p) for p in payloads]) if outer is not None else payloads
+    A = codec.build_symbol(coded[:, :params1.ell], params1)
+    B = codec.build_symbol(coded[:, params1.ell:], params2)
+    return A @ B.transpose(0, 2, 1)
 
 
 def _subtract_messages(Y, messages, params1, params2, outer):
     """Least-squares channel re-estimation and subtraction of known symbols."""
-    S = [_reencode_symbols(m, params1, params2, outer) for m in sorted(messages)]
-    Phi = np.stack([s.ravel(order="F") for s in S], axis=1)
+    S = _reencode_symbols(sorted(messages), params1, params2, outer)
+    Phi = np.ascontiguousarray(S.transpose(0, 2, 1).reshape(len(S), -1).T)  # column m: vec(S_m)
     Y3 = Y.reshape(-1, Y.shape[2], order="F")  # (T1*T2, N)
     H, *_ = np.linalg.lstsq(Phi, Y3, rcond=None)
     return (Y3 - Phi @ H).reshape(Y.shape, order="F")

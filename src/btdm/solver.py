@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blas
-from .tensor_core import BTDModel, BlockTerm, check_finite, complex_gaussian
+from .tensor_core import BTDModel, BlockTerm, check_finite
 
 TIKHONOV = 1e-12
 # Trust region: the initial radius relative to max(1, ||x0||), its cap, and
@@ -429,15 +429,20 @@ def _model(x, dims, K, L) -> BTDModel:
 
 
 def init_random(dims, K: int, L: int, seed) -> BTDModel:
-    """Random model: Gaussian factors with A, B column-orthonormalized."""
+    """Random model: Gaussian factors with A, B column-orthonormalized.
+
+    One standard_normal block holds every term's entries in the order a
+    term-by-term draw takes them: per term, A's real then imaginary parts, then
+    B's, then h's, each as tensor_core.complex_gaussian forms them.
+    """
     rng = np.random.default_rng(seed)
     T1, T2, N = dims
-    terms = []
-    for _ in range(K):
-        A = np.linalg.qr(complex_gaussian(rng, T1, L))[0]
-        B = np.linalg.qr(complex_gaussian(rng, T2, L))[0]
-        terms.append(BlockTerm(A=A, B=B, h=complex_gaussian(rng, N)))
-    return BTDModel(terms=tuple(terms))
+    sizes = (T1 * L, T1 * L, T2 * L, T2 * L, N, N)
+    parts = np.split(rng.standard_normal((K, sum(sizes))), np.cumsum(sizes)[:-1], axis=1)
+    a, b, h = ((re + 1j * im) / np.sqrt(2) for re, im in zip(parts[0::2], parts[1::2]))
+    A = np.linalg.qr(a.reshape(K, T1, L))[0]
+    B = np.linalg.qr(b.reshape(K, T2, L))[0]
+    return BTDModel(terms=tuple(BlockTerm(A=A[k], B=B[k], h=h[k]) for k in range(K)))
 
 
 _pool = None   # (processes, ProcessPoolExecutor) once a pooled map has needed one
@@ -489,11 +494,16 @@ def pool_map(fn, jobs, workers: int) -> list:
         blas.pin_to_one_thread()
         _pool = processes, ProcessPoolExecutor(processes, initializer=_start_worker,
                                                initargs=(Value("i", 0), cpus))
+    futures = []
     try:
-        return list(_pool[1].map(fn, *zip(*jobs)))
+        futures = [_pool[1].submit(fn, *job) for job in jobs]
+        return [future.result() for future in futures]
     except BrokenProcessPool:
         shutdown_pool()
         raise
+    finally:   # after a failed job the rest are dropped, as Executor.map does
+        for future in futures:
+            future.cancel()
 
 
 def gndl_fit(Y: np.ndarray, K: int, L: int, config: SolverConfig,

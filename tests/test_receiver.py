@@ -283,7 +283,9 @@ class TestEarlyStop:
         monkeypatch.setattr(codec, "demap_symbol", spy)
         decoded, diag = self.demodulate(Y, 4)
         assert decoded == sent and diag.restarts_run == 1
-        assert len(calls) == 2 * 4
+        # One stacked demap of the accepted fit's K A-factors, one of its B-factors.
+        assert [(args[0].shape, args[1]) for args in calls] == [
+            ((4, self.p1.T, 2), self.p1), ((4, self.p2.T, 2), self.p2)]
 
     def test_repeated_message_is_not_accepted(self, monkeypatch):
         Y, _, truth = self.scene(1)

@@ -376,6 +376,11 @@ class TestRestartPool:
         assert solver.pool_map(abs, [(-i,) for i in range(8)], cpus + 2) == list(range(8))
         assert len(multiprocessing.active_children()) == cpus
 
+    def test_jobs_without_arguments(self):
+        pids = solver.pool_map(os.getpid, [(), ()], 2)
+        children = {p.pid for p in multiprocessing.active_children()}
+        assert len(pids) == 2 and set(pids) <= children and os.getpid() not in pids
+
     def test_worker_exception_reaches_caller(self):
         with pytest.raises(FloatingPointError):
             solver.pool_map(_raise, [(0,), (1,)], 2)
