@@ -141,7 +141,7 @@ def _bits_from_ints(values, parts) -> np.ndarray:
 def pair_index(p, q, T: int):
     """Lexicographic index of each ordered pair (p, q), zero-based."""
     p, q = np.asarray(p), np.asarray(q)
-    if not np.all((1 <= p) & (p < q) & (q <= T)):
+    if not ((1 <= p) & (p < q) & (q <= T)).all():
         raise ValueError(f"need 1 <= p < q <= T, got ({p}, {q}) with T={T}")
     return (p - 1) * T - p * (p - 1) // 2 + (q - p - 1)
 
@@ -149,23 +149,12 @@ def pair_index(p, q, T: int):
 def pair_from_index(index, T: int):
     """The pair (p, q) of each lexicographic index."""
     index = np.asarray(index)
-    if not np.all((0 <= index) & (index < T * (T - 1) // 2)):
+    if not ((0 <= index) & (index < T * (T - 1) // 2)).all():
         raise ValueError(f"pair index {index} out of range for T={T}")
-    first = pair_index(np.arange(1, T), np.arange(2, T + 1), T)   # index of (p, p + 1)
+    starts = np.arange(1, T)
+    first = (starts - 1) * T - starts * (starts - 1) // 2   # the index of (p, p + 1)
     p = np.searchsorted(first, index, side="right")
     return p, p + 1 + index - first[p - 1]
-
-
-def pair_from_bits(b1, T: int):
-    b1 = np.asarray(b1)
-    return pair_from_index(_ints_from_bits(b1, (b1.shape[-1],))[..., 0], T)
-
-
-def bits_from_pair(p, q, T: int, ell1: int) -> np.ndarray:
-    idx = pair_index(p, q, T)
-    if np.any(idx >= (1 << ell1)):
-        raise DemapFailure(f"a dominant pair lies outside the {ell1}-bit injection image")
-    return _bits_from_ints(idx[..., None], (ell1,))
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +214,9 @@ def inverse_cube_split(alpha, L_odd, L_even):
     return _normal_cell(g * re, L_odd), _normal_cell(g * im, L_even)
 
 
-def _coords_from_bits(b2, parts: tuple[int, ...]) -> np.ndarray:
-    """Decode the coordinate bit parts (..., ell2) into the complex vectors a
-    (..., len(parts) // 2), one cube_split_scalar call per distinct cell."""
-    xs = _ints_from_bits(b2, parts)
+def _coords_from_ints(xs, parts: tuple[int, ...]) -> np.ndarray:
+    """The complex vectors a (..., len(parts) // 2) of the coordinate part
+    integers xs (..., len(parts)), one cube_split_scalar call per distinct cell."""
     lengths = np.broadcast_to(np.asarray(parts, dtype=np.int64), xs.shape)
     # A cell is (x_odd, L_odd, x_even, L_even), packed as 24 + 5 + 24 + 5 bits.
     keys = ((xs[..., 0::2] << 34) | (lengths[..., 0::2] << 29)
@@ -239,11 +227,14 @@ def _coords_from_bits(b2, parts: tuple[int, ...]) -> np.ndarray:
     return values[inverse].reshape(keys.shape)
 
 
-def _bits_from_coords(a: np.ndarray, parts: tuple[int, ...]) -> np.ndarray:
-    lengths = np.asarray(parts, dtype=np.int64)
+def _payload_bits(index, a: np.ndarray, params: CodecParams) -> np.ndarray:
+    """The (n, ell) payload bits of the dominant-row indices (n,) and the
+    coordinate vectors a (n, len(part_lengths) // 2)."""
+    lengths = np.asarray(params.part_lengths, dtype=np.int64)
     x_odd, x_even = inverse_cube_split(a, lengths[0::2], lengths[1::2])
-    return _bits_from_ints(np.stack([x_odd, x_even], axis=-1).reshape(x_odd.shape[:-1] + (-1,)),
-                           parts)
+    xs = np.concatenate([index[:, None], np.stack([x_odd, x_even], axis=-1).reshape(len(a), -1)],
+                        axis=1)
+    return _bits_from_ints(xs, (params.ell1,) + params.part_lengths)
 
 
 def _over(z: np.ndarray, f: float) -> np.ndarray:
@@ -278,17 +269,18 @@ def build_symbol(b, params: CodecParams) -> np.ndarray:
     stack = b.reshape(-1, params.ell)
     n, T, f = len(stack), params.T, params.f
     rows = np.arange(n)
-    a = _coords_from_bits(stack[:, params.ell1:], params.part_lengths)
+    xs = _ints_from_bits(stack, (params.ell1,) + params.part_lengths)
+    a = _coords_from_ints(xs[:, 1:], params.part_lengths)
     rest = np.ones((n, T), dtype=bool)
     U = np.zeros((n, T, params.L), dtype=np.complex128)
     if params.L == 1:
-        p = _ints_from_bits(stack[:, :params.ell1], (params.ell1,))[:, 0]  # zero-based
+        p = xs[:, 0]   # zero-based
         U[rows, p, 0] = f
         rest[rows, p] = False
         U[rest, 0] = a.ravel()
         U /= _frobenius(U)[:, None, None]
     else:
-        p, q = pair_from_bits(stack[:, :params.ell1], T)
+        p, q = pair_from_index(xs[:, 0], T)
         half = T - 2
         i_p = (a[:, None, :half].conj() @ a[:, half:, None])[:, 0, 0]    # np.vdot per row
         U[rows, p - 1, 0] = f
@@ -308,8 +300,8 @@ def detect_dominant_pair(Mhat):
     Ties within 1e-12 of each other are broken toward the smaller row index.
     """
     M = np.asarray(Mhat, dtype=np.complex128)
-    norms = np.sum(np.abs(M) ** 2, axis=-1).reshape(-1, M.shape[-2])
-    if not np.all(np.any(norms > 0, axis=1)):
+    norms = (np.abs(M) ** 2).sum(axis=-1).reshape(-1, M.shape[-2])
+    if not (norms > 0).any(axis=1).all():
         raise ValueError("matrix is zero")
     tie = 1e-12 * np.maximum(norms.max(axis=1), 1.0)
     order = np.argsort(-norms, axis=1, kind="stable")
@@ -353,11 +345,11 @@ def demap_symbol(Ahat, params: CodecParams) -> np.ndarray:
     A = np.asarray(Ahat, dtype=np.complex128)
     if A.ndim not in (2, 3) or A.shape[-2:] != (params.T, params.L):
         raise ValueError(f"estimate must be {params.T} x {params.L}, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("estimate contains NaN or Inf entries")
     Q, R = np.linalg.qr(A.reshape(-1, params.T, params.L))
     r = np.abs(np.diagonal(R, axis1=1, axis2=2))
-    if np.any(r.min(axis=1) <= RANK_TOL * r.max(axis=1)):
+    if (r.min(axis=1) <= RANK_TOL * r.max(axis=1)).any():
         raise DemapFailure("estimate is numerically rank deficient")
     bits = (_demap_rank1 if params.L == 1 else _demap_rank2)(Q, params)
     return bits if A.ndim == 3 else bits[0]
@@ -368,7 +360,9 @@ def _demap_rank2(Q: np.ndarray, params: CodecParams) -> np.ndarray:
     n, T, f = len(Q), params.T, params.f
     rows = np.arange(n)
     p, q = detect_dominant_pair(Q)
-    b1 = bits_from_pair(p, q, T, params.ell1)
+    index = pair_index(p, q, T)
+    if (index >= (1 << params.ell1)).any():
+        raise DemapFailure("a dominant pair lies outside the injection image")
     A1 = Q[rows[:, None], np.stack([p - 1, q - 1], axis=1)]
     rest = np.ones((n, T), dtype=bool)
     rest[rows, p - 1] = rest[rows, q - 1] = False
@@ -377,7 +371,7 @@ def _demap_rank2(Q: np.ndarray, params: CodecParams) -> np.ndarray:
     a, b, c, d = A1[:, 0, 0], A1[:, 1, 1], A1[:, 0, 1], A1[:, 1, 0]
     det_re = (a.real * b.real - a.imag * b.imag) - (c.real * d.real - c.imag * d.imag)
     det_im = (a.real * b.imag + a.imag * b.real) - (c.real * d.imag + c.imag * d.real)
-    if np.any(np.hypot(det_re, det_im) < DET_TOL * _frobenius(A1) ** 2):
+    if (np.hypot(det_re, det_im) < DET_TOL * _frobenius(A1) ** 2).any():
         raise DemapFailure("dominant-row block is numerically singular")
     W = A2 @ np.linalg.inv(A1)
     i_p = solve_pilot_inner_product(W, f)
@@ -385,7 +379,7 @@ def _demap_rank2(Q: np.ndarray, params: CodecParams) -> np.ndarray:
     pilot[:, 0, 0] = pilot[:, 1, 1] = f
     pilot[:, 0, 1] = _over(-i_p, f)
     a = (W @ pilot).transpose(0, 2, 1).reshape(n, -1)   # column 1, then column 2
-    return np.concatenate([b1, _bits_from_coords(a, params.part_lengths)], axis=1)
+    return _payload_bits(index, a, params)
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +392,9 @@ def _demap_rank1(Q: np.ndarray, params: CodecParams) -> np.ndarray:
     rows = np.arange(n)
     x = Q[:, :, 0]
     p = np.argmax(np.abs(x), axis=1)
-    if np.any(p >= (1 << params.ell1)):
+    if (p >= (1 << params.ell1)).any():
         raise DemapFailure("dominant index outside the injection image")
     rest = np.ones((n, T), dtype=bool)
     rest[rows, p] = False
     a = x[rest].reshape(n, T - 1) * (params.f / x[rows, p])[:, None]
-    return np.concatenate([_bits_from_ints(p[:, None], (params.ell1,)),
-                           _bits_from_coords(a, params.part_lengths)], axis=1)
+    return _payload_bits(p, a, params)

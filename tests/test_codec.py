@@ -80,16 +80,18 @@ class TestPairInjection:
         assert codec.pair_from_index(0, 30) == (1, 2)
 
     def test_roundtrip_full_image_t30(self):
-        ell1 = 8
-        for v in range(1 << ell1):
-            b = codec.int_to_bits(v, ell1)
-            p, q = codec.pair_from_bits(b, 30)
-            np.testing.assert_array_equal(codec.bits_from_pair(p, q, 30, ell1), b)
+        for v in range(1 << 8):
+            assert codec.pair_index(*codec.pair_from_index(v, 30), 30) == v
+        every = np.arange(30 * 29 // 2)
+        np.testing.assert_array_equal(codec.pair_index(*codec.pair_from_index(every, 30), 30),
+                                      every)
 
     def test_pair_outside_image_is_demap_failure(self):
         # (29, 30) has lexicographic index 434 >= 2^8.
-        with pytest.raises(codec.DemapFailure):
-            codec.bits_from_pair(29, 30, 30, 8)
+        M = np.zeros((30, 2))
+        M[28, 0] = M[29, 1] = 1.0
+        with pytest.raises(codec.DemapFailure, match="injection image"):
+            codec.demap_symbol(M, codec.CodecParams(30, 2, 124))
 
 
 def normal_quantile(p):
@@ -191,7 +193,7 @@ class TestBuildSymbol:
         for _ in range(50):
             b = rng.integers(0, 2, 12).astype(np.uint8)
             U = codec.build_symbol(b, params)
-            p, q = codec.pair_from_bits(b[:params.ell1], 6)
+            p, q = codec.pair_from_index(codec.bits_to_int(b[:params.ell1]), 6)
             norms = np.sum(np.abs(U) ** 2, axis=1)
             dom = {p - 1, q - 1}
             assert min(norms[i] for i in dom) > max(
