@@ -218,13 +218,11 @@ def _coords_from_ints(xs, parts: tuple[int, ...]) -> np.ndarray:
     """The complex vectors a (..., len(parts) // 2) of the coordinate part
     integers xs (..., len(parts)), one cube_split_scalar call per distinct cell."""
     lengths = np.broadcast_to(np.asarray(parts, dtype=np.int64), xs.shape)
-    # A cell is (x_odd, L_odd, x_even, L_even), packed as 24 + 5 + 24 + 5 bits.
-    keys = ((xs[..., 0::2] << 34) | (lengths[..., 0::2] << 29)
-            | (xs[..., 1::2] << 5) | lengths[..., 1::2])
-    cells, inverse = np.unique(keys.ravel(), return_inverse=True)
-    values = np.array([cube_split_scalar(k >> 34, (k >> 5) & 0xFFFFFF, (k >> 29) & 31, k & 31)
-                       for k in cells.tolist()], dtype=np.complex128)
-    return values[inverse].reshape(keys.shape)
+    cells = list(zip(*(v.ravel().tolist() for v in (xs[..., 0::2], xs[..., 1::2],
+                                                     lengths[..., 0::2], lengths[..., 1::2]))))
+    values = {cell: cube_split_scalar(*cell) for cell in set(cells)}
+    return np.array([values[cell] for cell in cells],
+                    dtype=np.complex128).reshape(xs.shape[:-1] + (-1,))
 
 
 def _payload_bits(index, a: np.ndarray, params: CodecParams) -> np.ndarray:
