@@ -115,7 +115,7 @@ class CodecParams:
 def _shifts(parts) -> np.ndarray:
     """Each payload bit's place value exponent within its part."""
     ends = np.cumsum(parts, dtype=np.int64)
-    return np.repeat(ends, parts) - 1 - np.arange(ends[-1] if len(ends) else 0)
+    return np.repeat(ends, parts) - 1 - np.arange(ends[-1])
 
 
 def _ints_from_bits(bits, parts) -> np.ndarray:

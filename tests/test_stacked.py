@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from btdm import codec, solver
-from btdm.codec import CLAMP_RADIUS, DET_TOL, RANK_TOL, DemapFailure, cube_split_scalar
+from btdm.codec import (CLAMP_RADIUS, DET_TOL, RANK_TOL, DemapFailure, bits_to_int,
+                        cube_split_scalar, int_to_bits)
 from btdm.tensor_core import BlockTerm, BTDModel, complex_gaussian
 
 from conftest import crandn
@@ -25,17 +26,6 @@ _NORMAL = NormalDist()
 # ---------------------------------------------------------------------------
 # The term-by-term oracle.
 # ---------------------------------------------------------------------------
-
-def _bits_to_int(bits) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
-
-
-def _int_to_bits(value: int, width: int) -> np.ndarray:
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
-
 
 def _pair_index(p: int, q: int, T: int) -> int:
     return (p - 1) * T - p * (p - 1) // 2 + (q - p - 1)
@@ -69,7 +59,7 @@ def _reference_inverse_cube_split(alpha, L_odd: int, L_even: int) -> tuple[int, 
 def _coords_from_bits(b2, parts) -> np.ndarray:
     xs, pos = [], 0
     for length in parts:
-        xs.append(_bits_to_int(b2[pos:pos + length]))
+        xs.append(bits_to_int(b2[pos:pos + length]))
         pos += length
     return np.array([cube_split_scalar(xs[2 * t], xs[2 * t + 1], parts[2 * t], parts[2 * t + 1])
                      for t in range(len(parts) // 2)], dtype=np.complex128)
@@ -79,8 +69,8 @@ def _bits_from_coords(a: np.ndarray, parts) -> np.ndarray:
     bits = []
     for t, alpha in enumerate(a):
         x_odd, x_even = _reference_inverse_cube_split(alpha, parts[2 * t], parts[2 * t + 1])
-        bits.append(_int_to_bits(x_odd, parts[2 * t]))
-        bits.append(_int_to_bits(x_even, parts[2 * t + 1]))
+        bits.append(int_to_bits(x_odd, parts[2 * t]))
+        bits.append(int_to_bits(x_even, parts[2 * t + 1]))
     return np.concatenate(bits) if bits else np.zeros(0, dtype=np.uint8)
 
 
@@ -103,13 +93,13 @@ def _reference_build_symbol(b, params) -> np.ndarray:
     T, f = params.T, params.f
     a = _coords_from_bits(b[params.ell1:], params.part_lengths)
     if params.L == 1:
-        p = _bits_to_int(b[:params.ell1])
+        p = bits_to_int(b[:params.ell1])
         x = np.zeros((T, 1), dtype=np.complex128)
         x[p, 0] = f
         x[[i for i in range(T) if i != p], 0] = a
         x /= np.linalg.norm(x)
         return x
-    p, q = _pair_from_index(_bits_to_int(b[:params.ell1]), T)
+    p, q = _pair_from_index(bits_to_int(b[:params.ell1]), T)
     half = T - 2
     i_p = complex(np.vdot(a[:half], a[half:]))
     U = np.zeros((T, 2), dtype=np.complex128)
@@ -135,7 +125,7 @@ def _reference_demap_symbol(Ahat, params) -> np.ndarray:
         if p >= (1 << params.ell1):
             raise DemapFailure("dominant index outside the injection image")
         a = np.delete(x, p) * (f / x[p])
-        return np.concatenate([_int_to_bits(p, params.ell1),
+        return np.concatenate([int_to_bits(p, params.ell1),
                                _bits_from_coords(a, params.part_lengths)])
     p, q = _reference_detect_dominant_pair(Q)
     idx = _pair_index(p, q, T)
@@ -151,7 +141,7 @@ def _reference_demap_symbol(Ahat, params) -> np.ndarray:
     i_p = complex(f * f * C[0, 1] / (1.0 + C[0, 0]))
     A2_rec = W @ np.array([[f, -i_p / f], [0.0, f]], dtype=np.complex128)
     a = np.concatenate([A2_rec[:, 0], A2_rec[:, 1]])
-    return np.concatenate([_int_to_bits(idx, params.ell1),
+    return np.concatenate([int_to_bits(idx, params.ell1),
                            _bits_from_coords(a, params.part_lengths)])
 
 
